@@ -8,7 +8,6 @@ centralizers and structural series are all exact and deterministic.
 from fusionrings.perms import (
     Permutation,
     alternating_group,
-    centralizer_in,
     dihedral_group,
     structure_invariants,
     symmetric_group,
@@ -26,9 +25,9 @@ for rep, members in s5.conjugacy_classes():
 
 print("\n== centralizers inside A5 and A6 ==")
 t = Permutation.parse("(1 2)", 5)
-c = centralizer_in(a5, t)
+c = a5.centralizer_of(t)
 print(f"centralizer of (1 2) in A5: order {c.order}, abelian: {c.is_abelian()}")
-c6 = centralizer_in(alternating_group(6), Permutation.parse("(1 2)", 6))
+c6 = alternating_group(6).centralizer_of(Permutation.parse("(1 2)", 6))
 print(f"centralizer of (1 2) in A6: order {c6.order}")
 
 print("\n== structure invariants ==")

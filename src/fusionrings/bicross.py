@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rings
-from .chartab import character_table, irrep_matrices
+from . import rings, tables
+from .chartab import _cyclo_column_echelon, character_table, irrep_matrices
 from .cyclo import Cyclotomic, _monomial_reduction, _phi
 from .errors import (
     GroupLawFailure,
@@ -27,73 +27,89 @@ from .errors import (
 from .perms import GroupAction, PermGroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchedPair:
     """Exact factorization G = F*Gamma with the four induced actions.
 
     left/right actions: for s in Gamma, x in F the product s*x decomposes
     uniquely as (s |> x) * (s <| x) with s |> x in F and s <| x in Gamma.
     Dual actions do the same for x*s inside G = Gamma*F.
+
+    The actions are stored on indices: ``rtab[s, x]`` is the F-index of
+    s |> x and ``ltab[s, x]`` the Gamma-index of s <| x (s a Gamma-index, x
+    an F-index); ``dual_ltab[x, s]`` and ``dual_rtab[x, s]`` give x <|' s in
+    F and x |>' s in Gamma.  ``right`` and ``left`` spell the actions out on
+    elements.
     """
 
     ambient: PermGroup
     f: PermGroup
     gamma: PermGroup
-    right: dict   # (s, x) -> s |> x   in F
-    left: dict    # (s, x) -> s <| x   in Gamma
-    dual_left: dict   # (x, s) -> x <|' s  in F
-    dual_right: dict  # (x, s) -> x |>' s  in Gamma
+    rtab: np.ndarray
+    ltab: np.ndarray
+    dual_ltab: np.ndarray
+    dual_rtab: np.ndarray
+
+    def _spelled(self, tab, rows, cols, values):
+        r, c, v = rows.elements, cols.elements, values.elements
+        return {(r[i], c[j]): v[k] for (i, j), k in np.ndenumerate(tab)}
+
+    @property
+    def right(self):  # (s, x) -> s |> x   in F
+        return self._spelled(self.rtab, self.gamma, self.f, self.f)
+
+    @property
+    def left(self):  # (s, x) -> s <| x   in Gamma
+        return self._spelled(self.ltab, self.gamma, self.f, self.gamma)
 
     def dual(self):
         """The matched pair of the dual product k^F # kGamma."""
         return matched_pair_from_factorization(self.ambient, self.gamma, self.f)
 
     def acts_trivially_right(self):
-        return all(v == x for (s, x), v in self.right.items())
+        return bool((self.rtab == np.arange(self.f.order)).all())
 
 
 def matched_pair_from_factorization(group, f, gamma):
     """Verify G = F*Gamma exactly and compute all four action tables."""
-    if not (group.is_subgroup(f) and group.is_subgroup(gamma)):
-        raise NotExactFactorization("F and Gamma must be subgroups of the ambient group")
+    try:
+        fi = group.index_rows(f.images)
+        gi = group.index_rows(gamma.images)
+    except KeyError:
+        raise NotExactFactorization("F and Gamma must be subgroups of the ambient group") from None
     if f.order * gamma.order != group.order:
         raise NotExactFactorization(
             f"|F|*|Gamma| = {f.order * gamma.order} != |G| = {group.order}"
         )
-    common = set(f.elements) & set(gamma.elements)
+    common = np.intersect1d(fi, gi)
     if len(common) != 1:
         raise NotExactFactorization(f"F and Gamma intersect in {len(common)} elements")
-    decomp = {}
-    for x in f.elements:
-        for s in gamma.elements:
-            decomp[x * s] = (x, s)
-    if len(decomp) != group.order:
+    xs = group.mul(fi[:, None], gi[None, :])  # x*s, by (F-index, Gamma-index)
+    if len(np.unique(xs)) != group.order:
         raise NotExactFactorization("products F*Gamma do not cover the group")
+    f_part = np.empty(group.order, dtype=np.intp)
+    g_part = np.empty(group.order, dtype=np.intp)
+    f_part[xs] = np.arange(f.order)[:, None]
+    g_part[xs] = np.arange(gamma.order)[None, :]
 
-    right, left = {}, {}
-    for s in gamma.elements:
-        for x in f.elements:
-            fx, gs = decomp[s * x]
-            right[(s, x)] = fx
-            left[(s, x)] = gs
+    sx = group.mul(gi[:, None], fi[None, :])
+    rtab, ltab = f_part[sx], g_part[sx]
 
-    dual_left, dual_right = {}, {}
-    for x in f.elements:
-        for s in gamma.elements:
-            dual_left[(x, s)] = right[(s.inverse(), x.inverse())].inverse()
-            dual_right[(x, s)] = left[(s.inverse(), x.inverse())].inverse()
-            prod = dual_right[(x, s)] * dual_left[(x, s)]
-            if prod != x * s:
-                raise NotExactFactorization("dual decomposition identity failed")
+    # x <|' s = (s^-1 |> x^-1)^-1 and x |>' s = (s^-1 <| x^-1)^-1
+    s_inv, x_inv = gamma.inv[None, :], f.inv[:, None]
+    dual_ltab = f.inv[rtab[s_inv, x_inv]]
+    dual_rtab = gamma.inv[ltab[s_inv, x_inv]]
+    if not np.array_equal(group.mul(gi[dual_rtab], fi[dual_ltab]), xs):
+        raise NotExactFactorization("dual decomposition identity failed")
 
     return MatchedPair(
         ambient=group,
         f=f,
         gamma=gamma,
-        right=right,
-        left=left,
-        dual_left=dual_left,
-        dual_right=dual_right,
+        rtab=rtab,
+        ltab=ltab,
+        dual_ltab=dual_ltab,
+        dual_rtab=dual_rtab,
     )
 
 
@@ -101,28 +117,30 @@ def bowtie_group(mp):
     """The group on F x Gamma with (x,s)(y,t) = (x(s|>y), (s<|y)t), realized
     inside the ambient group via (x,s) -> x*s; the law is verified."""
     g = mp.ambient
-    sample_all = g.order <= 400
-    fs = mp.f.elements
-    gs = mp.gamma.elements
-    xs = fs if sample_all else mp.f.generators + (mp.f.identity,)
-    ss = gs if sample_all else mp.gamma.generators + (mp.gamma.identity,)
-    for x in xs:
-        for s in ss:
-            for y in fs:
-                for t in gs if sample_all else (mp.gamma.identity,) + mp.gamma.generators:
-                    lhs = (x * s) * (y * t)
-                    rhs = (x * mp.right[(s, y)]) * (mp.left[(s, y)] * t)
-                    if lhs != rhs:
-                        raise GroupLawFailure(f"law fails at {(x, s, y, t)}")
+    fi = g.index_rows(mp.f.images)
+    gi = g.index_rows(mp.gamma.images)
+    every_x, every_s = np.arange(mp.f.order), np.arange(mp.gamma.order)
+    if g.order <= 400:
+        xs, ss, ts = every_x, every_s, every_s
+    else:
+        xs = np.array((*mp.f.gens, mp.f.unit))
+        ss = np.array((*mp.gamma.gens, mp.gamma.unit))
+        ts = np.array((mp.gamma.unit, *mp.gamma.gens))
+    x, s, y, t = (a.reshape(-1) for a in np.meshgrid(xs, ss, every_x, ts, indexing="ij"))
+    lhs = g.mul(g.mul(fi[x], gi[s]), g.mul(fi[y], gi[t]))
+    rhs = g.mul(g.mul(fi[x], fi[mp.rtab[s, y]]), g.mul(gi[mp.ltab[s, y]], gi[t]))
+    bad = np.flatnonzero(lhs != rhs)
+    if bad.size:
+        k = bad[0]
+        raise GroupLawFailure(f"law fails at F/Gamma indices {(x[k], s[k], y[k], t[k])}")
     return g
 
 
 def gamma_action(mp):
     """The F-action on Gamma's elements as a left GroupAction (via <| of x^-1)."""
-    table = {}
-    for s in mp.gamma.elements:
-        for x in mp.f.elements:
-            table[(x, mp.left[(s, x)])] = s
+    # x . (s <| x) = s
+    table = np.empty((mp.f.order, mp.gamma.order), dtype=np.intp)
+    table[np.arange(mp.f.order)[None, :], mp.ltab] = np.arange(mp.gamma.order)[:, None]
     return GroupAction(mp.f, mp.gamma.elements, table, verify=True)
 
 
@@ -146,42 +164,30 @@ class ExtIrrep:
     def dim(self):
         return len(self.coset_reps) * self.stab_degree
 
-    def character_value(self, mp, t, y):
-        """chi(e_t # y); nonzero only when t sits in the orbit and y returns
-        the matching coset to itself."""
-        try:
-            i = self.weights.index(t)
-        except ValueError:
-            return Cyclotomic.zero()
-        xi = self.coset_reps[i]
-        f = xi.inverse() * y * xi
-        if f not in self.stabilizer:
-            return Cyclotomic.zero()
-        return self.stab_table.value(self.stab_row, f)
-
     def module_matrices(self, mp):
         """Explicit action matrices: weight vector for the idempotents e_t and
         a matrix for each 1 # y, on the basis (coset rep) x (stab irrep basis)."""
         umats = irrep_matrices(self.stab_table, self.stab_row)
         d = self.stab_degree
         c = len(self.coset_reps)
-        rep_pos = {x: i for i, x in enumerate(self.coset_reps)}
-        coset_of = {}
-        for i, x in enumerate(self.coset_reps):
-            for h in self.stabilizer.elements:
-                coset_of[x * h] = i
+        f = mp.f
+        xs = [f.index_of(x) for x in self.coset_reps]
+        stab = f.index_rows(self.stabilizer.images)
+        coset_of = np.empty(f.order, dtype=np.intp)
+        for i, x in enumerate(xs):
+            coset_of[f.mul(x, stab)] = i
         mats = {}
         zero = Cyclotomic.zero()
-        for y in mp.f.elements:
+        for y, y_el in enumerate(f.elements):
             mat = [[zero] * (c * d) for _ in range(c * d)]
-            for i, xi in enumerate(self.coset_reps):
-                j = coset_of[y * xi]
-                fij = self.coset_reps[j].inverse() * (y * xi)
-                u = umats[fij]
+            for i, x in enumerate(xs):
+                yx = f.mul(y, x)
+                j = coset_of[yx]
+                u = umats[f.element(f.mul(f.inv[xs[j]], yx))]
                 for a in range(d):
                     for b in range(d):
                         mat[j * d + a][i * d + b] = u[a][b]
-            mats[y] = tuple(tuple(r) for r in mat)
+            mats[y_el] = tuple(tuple(r) for r in mat)
         return self.weights, mats
 
 
@@ -192,16 +198,16 @@ def split_irreps(mp, cocycles=None):
     """
     if cocycles is not None:
         raise ValueError("only split products (trivial cocycles) are supported")
-    orbits = gamma_action(mp).orbits()
+    f, gamma = mp.f, mp.gamma
     out = []
-    for orb in orbits:
+    for orb in gamma_action(mp).orbits():
         s = orb.representative
         stab = orb.stabilizer
         table = character_table(stab)
         # coset rep x_i <-> weight s <| x_i^(-1); enumerate cosets canonically
-        reps = mp.f.coset_representatives(stab)
-        weights = tuple(mp.left[(s, x.inverse())] for x in reps)
-        assert sorted(weights) == sorted(orb.members)
+        _, reps = tables.left_cosets(f, f.index_rows(stab.images))
+        weights = mp.ltab[gamma.index_of(s), f.inv[reps]]
+        assert sorted(gamma.element(t) for t in weights) == sorted(orb.members)
         for row in range(table.num_classes):
             out.append(
                 ExtIrrep(
@@ -209,8 +215,8 @@ def split_irreps(mp, cocycles=None):
                     stabilizer=stab,
                     stab_table=table,
                     stab_row=row,
-                    coset_reps=tuple(reps),
-                    weights=weights,
+                    coset_reps=tuple(f.element(x) for x in reps),
+                    weights=tuple(gamma.element(t) for t in weights),
                 )
             )
     dims = [w.dim for w in out]
@@ -246,50 +252,41 @@ def split_fusion_ring(mp, cocycles=None):
     """The based ring of Rep(k^Gamma # kF) via exact character decomposition."""
     irreps = split_irreps(mp, cocycles)
     n = len(irreps)
-    gamma_els = mp.gamma.elements
-    f_els = mp.f.elements
-    m = mp.f.exponent()
+    f, gamma = mp.f, mp.gamma
+    n_gamma, n_f = gamma.order, f.order
+    m = f.exponent()
     phim = _phi(m)
     reduction = np.array(_monomial_reduction(m), dtype=np.int64)  # (2m-1, phim)
 
-    g_idx = {g: i for i, g in enumerate(gamma_els)}
-    f_idx = {x: i for i, x in enumerate(f_els)}
-    n_gamma, n_f = len(gamma_els), len(f_els)
-
     # per-irrep sparse characters: orbit element index -> (n_f, m) int matrix
+    every_y = np.arange(n_f)
     chi_int = []
     chi_cyc = []
     for w in irreps:
+        values = w.stab_table.chars[w.stab_row]
+        codes = np.array([_encode(v, m) for v in values], dtype=np.int64)
+        live = np.array([not v.is_zero() for v in values] + [False])
+        # class of each F-element in the stabilizer; -1 (a dead class) outside
+        class_in_f = np.full(n_f, -1, dtype=np.intp)
+        class_in_f[f.index_rows(w.stabilizer.images)] = w.stab_table.class_of
         rows = {}
         vals = {}
-        for i, xi in enumerate(w.coset_reps):
-            t = w.weights[i]
+        for xi, t in zip(w.coset_reps, w.weights):
+            x, t = f.index_of(xi), gamma.index_of(t)
+            cls = class_in_f[f.mul(f.mul(f.inv[x], every_y), x)]  # class of x^-1 y x
             block = np.zeros((n_f, m), dtype=np.int64)
-            xi_inv = xi.inverse()
-            for yi, y in enumerate(f_els):
-                f = xi_inv * y * xi
-                if f in w.stabilizer:
-                    v = w.stab_table.value(w.stab_row, f)
-                    if not v.is_zero():
-                        block[yi] = _encode(v, m)
-                        vals[(g_idx[t], yi)] = v
-            rows[g_idx[t]] = block
+            hit = np.flatnonzero(live[cls])
+            block[hit] = codes[cls[hit]]
+            for yi in hit.tolist():
+                vals[(t, yi)] = values[cls[yi]]
+            rows[t] = block
         chi_int.append(rows)
         chi_cyc.append(vals)
 
     # pivot columns: greedily select (t, y) columns keeping the n x n system invertible
     pivots = _select_pivot_columns(chi_cyc, n, n_gamma, n_f)
-
-    # gamma multiplication index helpers
-    inv_of = [g_idx[g.inverse()] for g in gamma_els]
-    mul = np.empty((n_gamma, n_gamma), dtype=np.int64)
-    for a, ga in enumerate(gamma_els):
-        for b, gb in enumerate(gamma_els):
-            mul[a, b] = g_idx[ga * gb]
-    radj = np.empty((n_gamma, n_f), dtype=np.int64)
-    for s in gamma_els:
-        for x in f_els:
-            radj[g_idx[s], f_idx[x]] = f_idx[mp.right[(s, x)]]
+    # t h^-1 for every h, per pivot weight t
+    t_over = {t: gamma.mul(t, gamma.inv).tolist() for t in {t for t, _ in pivots}}
 
     t_canon = np.zeros((len(pivots), n, n, phim), dtype=np.int64)
     for k, (t_i, y_i) in enumerate(pivots):
@@ -297,8 +294,8 @@ def split_fusion_ring(mp, cocycles=None):
         a = np.zeros((n, n_gamma, m), dtype=np.int64)
         b = np.zeros((n, n_gamma, m), dtype=np.int64)
         for h in range(n_gamma):
-            g = mul[t_i, inv_of[h]]
-            y2 = radj[h, y_i]
+            g = t_over[t_i][h]
+            y2 = mp.rtab[h, y_i]
             for i in range(n):
                 blk = chi_int[i].get(g)
                 if blk is not None:
@@ -355,51 +352,38 @@ def split_fusion_ring(mp, cocycles=None):
 
 def _select_pivot_columns(chi_cyc, n, n_gamma, n_f):
     zero = Cyclotomic.zero()
-    echelon = []
-    piv_rows = []
+    cells = [
+        (t_i, y_i)
+        for t_i in range(n_gamma)
+        for y_i in range(n_f)
+        if any((t_i, y_i) in vals for vals in chi_cyc)
+    ]
+    cols = ([vals.get(cell, zero) for vals in chi_cyc] for cell in cells)
     pivots = []
-    for t_i in range(n_gamma):
-        for y_i in range(n_f):
-            col = [chi_cyc[l].get((t_i, y_i), zero) for l in range(n)]
-            if all(v.is_zero() for v in col):
-                continue
-            red = list(col)
-            for prev, pr in zip(echelon, piv_rows):
-                fct = red[pr]
-                if not fct.is_zero():
-                    red = [x - fct * y for x, y in zip(red, prev)]
-            pr = next((i for i, x in enumerate(red) if not x.is_zero()), None)
-            if pr is None:
-                continue
-            inv = red[pr].inverse()
-            red = [x * inv for x in red]
-            echelon.append(red)
-            piv_rows.append(pr)
-            pivots.append((t_i, y_i))
-            if len(pivots) == n:
-                return pivots
+    for pos, _, _ in _cyclo_column_echelon(cols):
+        pivots.append(cells[pos])
+        if len(pivots) == n:
+            return pivots
     raise SingularCharacterSystem(f"only {len(pivots)} independent character columns")
 
 
 def dual_invertibles(mp):
     """The invertibles of Rep(k^Gamma # kF): one-dimensional F-characters
     extended by the <|-fixed points of Gamma (split case)."""
-    table_f = character_table(mp.f)
-    lin_rows = [r for r in range(table_f.num_classes) if table_f.degrees[r] == 1]
-    chars = []
-    for r in lin_rows:
-        chars.append(tuple(table_f.value(r, x) for x in mp.f.elements))
-    char_pos = {c: i for i, c in enumerate(chars)}
-    fixed = [
-        s
-        for s in mp.gamma.elements
-        if all(mp.left[(s, x)] == s for x in mp.f.elements)
+    f, gamma = mp.f, mp.gamma
+    table_f = character_table(f)
+    class_of = table_f.class_of.tolist()
+    chars = [
+        tuple(table_f.chars[r][c] for c in class_of)
+        for r in range(table_f.num_classes)
+        if table_f.degrees[r] == 1
     ]
+    char_pos = {c: i for i, c in enumerate(chars)}
+    fixed = np.flatnonzero((mp.ltab == np.arange(gamma.order)[:, None]).all(axis=1)).tolist()
     fixed_pos = {s: i for i, s in enumerate(fixed)}
-    f_pos = {x: i for i, x in enumerate(mp.f.elements)}
 
     def act(s, char):
-        return tuple(char[f_pos[mp.dual_left[(x, s)]]] for x in mp.f.elements)
+        return tuple(char[x] for x in mp.dual_ltab[:, s].tolist())
 
     elements = [(ci, si) for ci in range(len(chars)) for si in range(len(fixed))]
     pos = {e: i for i, e in enumerate(elements)}
@@ -409,16 +393,14 @@ def dual_invertibles(mp):
         for j, (cj, sj) in enumerate(elements):
             moved = act(fixed[si], chars[cj])
             prod_char = tuple(a * b for a, b in zip(chars[ci], moved))
-            s_new = fixed[si] * fixed[sj]
+            s_new = int(gamma.mul(fixed[si], fixed[sj]))
             table[i][j] = pos[(char_pos[prod_char], fixed_pos[s_new])]
-    from . import tables as _tables
-
-    _tables.check_table(table)
+    tables.check_table(table)
     return DualInvertibles(
         order=k,
         table=tuple(map(tuple, table)),
-        name=_tables.iso_name(table),
-        center_order=len(_tables.center(table)),
+        name=tables.iso_name(table),
+        center_order=len(tables.center(table)),
     )
 
 

@@ -17,37 +17,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import rings
-from .cyclo import Cyclotomic
+from . import rings, tables
+from .cyclo import Cyclotomic, _is_prime, _prime_divisors
 from .errors import LengthMismatch, LiftFailure, NonIntegralMultiplicity
 
 # ---------------------------------------------------------------------------
 # F_p utilities
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def dixon_prime(order, exponent, max_class_size):
@@ -60,41 +35,12 @@ def dixon_prime(order, exponent, max_class_size):
 
 
 def _primitive_root(p):
-    facs = _prime_factors(p - 1)
+    facs = _prime_divisors(p - 1)
     g = 2
     while True:
         if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
             return g
         g += 1
-
-
-def _sqrt_mod(a, p):
-    """Tonelli-Shanks; returns r with r^2 = a (mod p) or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
 
 
 # dense ascending-coefficient polynomials over F_p
@@ -217,34 +163,12 @@ def _charpoly(mat, p):
 
 
 def _nullspace(mat, p):
-    """Row basis of the right nullspace of mat over F_p."""
-    rows = len(mat)
-    cols = len(mat[0])
-    a = [list(r) for r in mat]
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][col] % p), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], p - 2, p)
-        a[rank] = [v * inv % p for v in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col] % p:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-a[r][fc]) % p
-        basis.append(v)
-    return basis
+    """Basis of the right nullspace of mat over F_p: the reduced columns of
+    mat stacked on the identity whose pivots fall in the identity part."""
+    rows, cols = len(mat), len(mat[0])
+    stacked = [[row[j] for row in mat] + [int(i == j) for i in range(cols)] for j in range(cols)]
+    basis, pivots = _column_echelon(stacked, p)
+    return [v[rows:] for v, pr in zip(basis, pivots) if pr >= rows]
 
 
 def _column_echelon(cols, p):
@@ -275,11 +199,11 @@ def _column_echelon(cols, p):
 # the table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
     group: object
     classes: tuple          # (representative, size) per class, canonical order
-    class_of: object        # dict element -> class index
+    class_of: object        # int array: class index of each element, by element index
     exponent: int
     degrees: tuple
     chars: tuple            # rows of Cyclotomic values, trivial character first
@@ -290,30 +214,27 @@ class CharacterTable:
         return len(self.classes)
 
     def value(self, row, element):
-        return self.chars[row][self.class_of[element]]
+        return self.chars[row][self.class_of[self.group.index_of(element)]]
 
 
 def character_table(group):
     """Complete exact character table in canonical row order."""
-    classes = group.conjugacy_classes()
-    r = len(classes)
     class_of = group.class_index_map()
-    reps = [rep for rep, _ in classes]
-    sizes = [len(members) for _, members in classes]
-    exponent = group.exponent()
+    _, reps = np.unique(class_of, return_index=True)  # class minima, in class order
+    sizes = np.bincount(class_of).tolist()
+    r = len(sizes)
+    rep_orders = tables.element_orders(group, reps).tolist()
+    exponent = math.lcm(*rep_orders)
     order = group.order
     p = dixon_prime(order, exponent, max(sizes))
 
-    # class multiplication constants a[i][j][k]
-    a = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for k in range(r):
-        z = reps[k]
-        for x in group.elements:
-            i = class_of[x]
-            j = class_of[x.inverse() * z]
-            a[i][j][k] += 1
+    # class multiplication constants a[i][j][k] = #{x in C_i : x^-1 z_k in C_j}
+    a = np.zeros((r, r, r), dtype=np.int64)
+    for k, z in enumerate(reps):
+        j = class_of[group.mul(group.inv, z)]
+        a[:, :, k] = np.bincount(class_of * r + j, minlength=r * r).reshape(r, r)
 
-    mats = [[[a[i][j][k] % p for k in range(r)] for j in range(r)] for i in range(r)]
+    mats = (a % p).tolist()
     spaces = _common_eigenlines(mats, p, r)
     if any(len(cols) != 1 for cols, _ in spaces):
         raise LiftFailure("class algebra did not split into lines")
@@ -327,18 +248,18 @@ def character_table(group):
         inv = pow(w[e_idx], p - 2, p)
         omegas.append([x * inv % p for x in w])
 
-    inv_class = [class_of[reps[j].inverse()] for j in range(r)]
+    inv_class = class_of[group.inv[reps]].tolist()
     chars_fp = []
     degrees = []
     for w in omegas:
         s = sum(w[j] * w[inv_class[j]] * pow(sizes[j], p - 2, p) for j in range(r)) % p
         d2 = order * pow(s, p - 2, p) % p
-        root = _sqrt_mod(d2, p)
-        if root is None:
-            raise LiftFailure("degree is not a square mod p")
-        deg = min(root, p - root)
-        if deg == 0 or order % deg or deg * deg > order:
-            raise LiftFailure(f"implausible degree {deg}")
+        # p > 2 sqrt|G|, so at most one candidate degree squares to d2
+        deg = next(
+            (d for d in range(1, math.isqrt(order) + 1) if d * d % p == d2 and order % d == 0), None
+        )
+        if deg is None:
+            raise LiftFailure(f"no degree dividing |G| squares to {d2} mod p")
         degrees.append(deg)
         chars_fp.append([deg * w[j] * pow(sizes[j], p - 2, p) % p for j in range(r)])
 
@@ -348,16 +269,10 @@ def character_table(group):
     # lift to exact cyclotomic values
     g0 = _primitive_root(p)
     z_e = pow(g0, (p - 1) // exponent, p)
-    powmap = []
-    for j in range(r):
-        g = reps[j]
-        m = g.order()
-        row = []
-        x = group.identity
-        for _ in range(m):
-            row.append(class_of[x])
-            x = x * g
-        powmap.append(row)
+    powers = [np.full(r, group.unit)]
+    for _ in range(max(rep_orders) - 1):
+        powers.append(group.mul(powers[-1], reps))
+    powmap = [[int(class_of[powers[l][j]]) for l in range(m)] for j, m in enumerate(rep_orders)]
 
     rows = []
     for deg, fvals in zip(degrees, chars_fp):
@@ -385,7 +300,7 @@ def character_table(group):
 
     table = CharacterTable(
         group=group,
-        classes=tuple((rep, size) for rep, size in zip(reps, sizes)),
+        classes=tuple((group.element(rep), size) for rep, size in zip(reps, sizes)),
         class_of=class_of,
         exponent=exponent,
         degrees=tuple(d for d, _ in rows),
@@ -506,9 +421,8 @@ def rep_g_fusion_ring(table):
 
 @lru_cache(maxsize=None)
 def _all_subgroups(group):
-    triv = frozenset([group.identity])
-    cyclic = {frozenset(group.subgroup([g]).elements) for g in group.elements}
-    cyclic.add(triv)
+    """Every subgroup as a sorted index tuple, largest first."""
+    cyclic = {frozenset(tables.closure(group, [g]).tolist()) for g in range(group.order)}
     found = set(cyclic)
     frontier = set(cyclic)
     while frontier:
@@ -517,12 +431,12 @@ def _all_subgroups(group):
             for b in cyclic:
                 if b <= a:
                     continue
-                c = frozenset(group.subgroup(list(a | b)).elements)
+                c = frozenset(tables.closure(group, list(a | b)).tolist())
                 if c not in found:
                     found.add(c)
                     new.add(c)
         frontier = new
-    return sorted(found, key=lambda s: (-len(s), sorted(s)))
+    return sorted((tuple(sorted(s)) for s in found), key=lambda s: (-len(s), s))
 
 
 def irrep_matrices(table, row):
@@ -533,27 +447,26 @@ def irrep_matrices(table, row):
     """
     group = table.group
     deg = table.degrees[row]
+    chi = [table.chars[row][c] for c in table.class_of.tolist()]  # by element index
+    els = group.elements
     if deg == 1:
-        return {g: ((table.value(row, g),),) for g in group.elements}
-    for sub_elems in _all_subgroups(group):
+        return {g: ((v,),) for g, v in zip(els, chi)}
+    inv = group.inv.tolist()
+    everything = np.arange(group.order)
+    for sub in _all_subgroups(group):
         acc = Cyclotomic.zero()
-        for h in sub_elems:
-            acc = acc + table.value(row, h)
-        mult = (acc / len(sub_elems)).rational_part()
+        for h in sub:
+            acc = acc + chi[h]
+        mult = (acc / len(sub)).rational_part()
         if mult != 1:
             continue
-        sub = group.subgroup([g for g in sub_elems if not g.is_identity()] or [group.identity])
-        reps = group.coset_representatives(sub)
+        coset_of, reps = tables.left_cosets(group, sub)
         c = len(reps)
-        coset_of = {}
-        for i, x in enumerate(reps):
-            for h in sub.elements:
-                coset_of[x * h] = i
-        perm_of = {g: [coset_of[g * x] for x in reps] for g in group.elements}
+        perm_of = coset_of[group.mul(everything[:, None], reps[None, :])].tolist()
         # isotypic projector (deg/|G|) sum chi(g^-1) rho(g)
         proj = [[Cyclotomic.zero() for _ in range(c)] for _ in range(c)]
-        for g in group.elements:
-            coeff = table.value(row, g.inverse())
+        for g in range(group.order):
+            coeff = chi[inv[g]]
             if coeff.is_zero():
                 continue
             pg = perm_of[g]
@@ -561,34 +474,41 @@ def irrep_matrices(table, row):
                 proj[pg[j]][j] = proj[pg[j]][j] + coeff
         scale = Fraction(deg, group.order)
         cols = [[proj[i][j] * scale for i in range(c)] for j in range(c)]
-        basis, pivots = _cyclo_column_echelon(cols)
-        if len(basis) != deg:
+        steps = list(_cyclo_column_echelon(cols))
+        if len(steps) != deg:
             continue
+        _, basis, pivots = steps[-1]
         mats = {}
         ok = True
-        for g in group.elements:
-            pg_inv = perm_of[g.inverse()]
+        for g in range(group.order):
+            pg_inv = perm_of[inv[g]]
             permuted = [[basis[l][pg_inv[i]] for l in range(deg)] for i in range(c)]
             mat = tuple(tuple(permuted[pivots[i]][l] for l in range(deg)) for i in range(deg))
             tr = Cyclotomic.zero()
             for i in range(deg):
                 tr = tr + mat[i][i]
-            if tr != table.value(row, g):
+            if tr != chi[g]:
                 ok = False
                 break
-            mats[g] = mat
+            mats[els[g]] = mat
         if ok:
             return mats
     raise LiftFailure(f"no multiplicity-one coset realization for character {row}")
 
 
 def _cyclo_column_echelon(cols):
-    """Column echelon over Q(zeta); returns (independent columns, pivot rows)."""
-    out = []
+    """Reduced column echelon over Q(zeta), built one input column at a time.
+
+    Yields (position, basis, pivot rows) after each input column that is
+    independent of the ones before it; ``basis[i]`` is 1 at its pivot row and
+    0 at every other pivot row.  A caller that needs only the first k
+    independent columns stops iterating there.
+    """
+    basis = []
     pivots = []
-    for col in cols:
+    for pos, col in enumerate(cols):
         col = list(col)
-        for prev, pr in zip(out, pivots):
+        for prev, pr in zip(basis, pivots):
             f = col[pr]
             if not f.is_zero():
                 col = [x - f * y for x, y in zip(col, prev)]
@@ -597,10 +517,10 @@ def _cyclo_column_echelon(cols):
             continue
         inv = col[pr].inverse()
         col = [x * inv for x in col]
-        for i in range(len(out)):
-            f = out[i][pr]
+        for i in range(len(basis)):
+            f = basis[i][pr]
             if not f.is_zero():
-                out[i] = [x - f * y for x, y in zip(out[i], col)]
-        out.append(col)
+                basis[i] = [x - f * y for x, y in zip(basis[i], col)]
+        basis.append(col)
         pivots.append(pr)
-    return out, pivots
+        yield pos, basis, pivots

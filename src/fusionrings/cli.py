@@ -30,6 +30,7 @@ from .errors import (
     WorkbenchError,
 )
 from .perms import (
+    PermGroup,
     Permutation,
     alternating_group,
     cyclic_group,
@@ -64,9 +65,7 @@ def parse_group_spec(spec, degree=None):
         if degree is not None and degree != deg:
             raise ValueError(f"custom degree {deg} does not match ambient degree {degree}")
         perms = [Permutation.parse(s, deg) for s in gens.split("|") if s.strip()]
-        from .perms import group_from_generators
-
-        return group_from_generators(deg, perms)
+        return PermGroup.from_generators(deg, perms)
     raise ValueError(f"cannot parse group spec {spec!r}")
 
 

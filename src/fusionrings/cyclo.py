@@ -7,7 +7,7 @@ exponent vector against the fixed echelonized relation set of conductor N
 then minimizes the conductor by Galois-invariance descent over prime divisors.
 Two equal field elements therefore always carry identical representations.
 
-No floating point enters anywhere except :func:`numeric_eval`.
+No floating point enters anywhere except :meth:`Cyclotomic.numeric`.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 
@@ -34,6 +32,10 @@ def _prime_divisors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def _is_prime(n):
+    return n >= 2 and _prime_divisors(n) == [n]
 
 
 def _phi(n):
@@ -233,24 +235,11 @@ class Cyclotomic:
     def is_zero(self):
         return not self.coeffs
 
-    def is_rational(self):
-        return self.conductor == 1
-
     def rational_part(self):
         """The exact Fraction if this value is rational, else None."""
         if self.conductor != 1:
             return None
         return self.coeffs.get(0, _ZERO)
-
-    def is_integer(self):
-        q = self.rational_part()
-        return q is not None and q.denominator == 1
-
-    def as_integer(self):
-        q = self.rational_part()
-        if q is None or q.denominator != 1:
-            raise ValueError(f"not an integer: {self}")
-        return int(q)
 
     # -- ring/field operations
 
@@ -430,14 +419,6 @@ def root_of_unity(n, k=1):
     if n < 1:
         raise ValueError("conductor must be positive")
     return Cyclotomic(n, {k % n: Fraction(1)})
-
-
-def numeric_eval(a):
-    return a.numeric()
-
-
-def rational_part(a):
-    return a.rational_part()
 
 
 def to_document(a):

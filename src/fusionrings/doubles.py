@@ -11,6 +11,7 @@ are certified to be non-negative integers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -90,20 +91,18 @@ def double_modular_data(group, twist=None):
 
     # pairing counts per class pair: how often (class of gbg^-1 in C(a),
     # class of g^-1ag in C(b)) occurs over g with a and gbg^-1 commuting
+    everything = np.arange(order)
+    _, reps = np.unique(group.class_index_map(), return_index=True)
+    inner = [group.mul(group.mul(everything, b), group.inv) for b in reps]  # g b g^-1
+    outer = [group.mul(group.mul(group.inv, a), everything) for a in reps]  # g^-1 a g
     r = len(classes)
     pair_counts = [[None] * r for _ in range(r)]
-    for i, (a, _) in enumerate(classes):
-        amap = tabs[i].class_of
-        for j, (b, _) in enumerate(classes):
-            bmap = tabs[j].class_of
-            counts = {}
-            for g in group.elements:
-                gb = g * b * g.inverse()
-                if a * gb != gb * a:
-                    continue
-                key = (amap[gb], bmap[g.inverse() * a * g])
-                counts[key] = counts.get(key, 0) + 1
-            pair_counts[i][j] = counts
+    for i, a in enumerate(reps):
+        for j, gb in enumerate(inner):
+            keep = group.mul(a, gb) == group.mul(gb, a)
+            ka = tabs[i].class_of[cents[i].index_rows(group.images[gb[keep]])]
+            kb = tabs[j].class_of[cents[j].index_rows(group.images[outer[i][keep]])]
+            pair_counts[i][j] = Counter(zip(ka.tolist(), kb.tolist()))
 
     s = [[None] * n for _ in range(n)]
     for xi, lx in enumerate(labels):

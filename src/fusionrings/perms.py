@@ -1,8 +1,10 @@
 """Exact permutation groups at desk scale.
 
-Every group is materialized as a sorted tuple of elements; nothing here is
-asymptotically clever, and that is the point: all representatives, orderings
-and outputs are deterministic and cheap to reason about.
+Every group is materialized once as index data: its elements are numbered
+in lexicographic order of their image tuples (the identity is 0), and all
+group algorithms (``tables``) run on those indices.  ``Permutation`` objects
+appear only at the text boundary: parsing, cycle strings, labels and the
+elements that methods take or return.
 
 Composition convention, fixed globally: permutations act on the right,
 ``(f * g)(x) == g(f(x))``.
@@ -14,6 +16,9 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import tables
 from .errors import ClosureTooLarge
 
 DEFAULT_CLOSURE_CAP = 10_000
@@ -82,17 +87,13 @@ class Permutation:
             inv[j] = i
         return Permutation(inv)
 
-    def conjugate_by(self, g):
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
-
     def is_identity(self):
         return all(i == j for i, j in enumerate(self.images))
 
     def order(self):
         return math.lcm(*(len(c) for c in self.cycles()))
 
-    def cycles(self, include_fixed=False):
+    def cycles(self):
         """Disjoint cycles, each starting at its minimum, sorted by minimum."""
         seen = set()
         out = []
@@ -106,12 +107,9 @@ class Permutation:
                 cyc.append(nxt)
                 seen.add(nxt)
                 nxt = self.images[nxt]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def cycle_type(self):
-        return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True))
 
     def sign(self):
         return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
@@ -129,9 +127,6 @@ class Permutation:
     def __lt__(self, other):
         return self.images < other.images
 
-    def __le__(self, other):
-        return self.images <= other.images
-
     def __hash__(self):
         return hash(self.images)
 
@@ -139,221 +134,185 @@ class Permutation:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
 
 
-def _close(degree, gens, cap):
-    identity = Permutation.identity(degree)
-    els = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = a * g
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > cap:
-                        raise ClosureTooLarge(f"closure exceeds cap {cap}")
-        frontier = new
-    return els
+def _rows(degree, perms):
+    """Image tuples of ``perms`` as a (len(perms) x degree) int array."""
+    perms = tuple(perms)
+    for g in perms:
+        if g.degree != degree:
+            raise ValueError(f"generator degree {g.degree} != {degree}")
+    return np.array([g.images for g in perms], dtype=np.intp).reshape(len(perms), degree)
+
+
+def _keys(rows):
+    """One bytes key per image row: the lookup key of an element."""
+    rows = np.ascontiguousarray(rows, dtype=np.intp)
+    count, width = int(np.prod(rows.shape[:-1])), rows.shape[-1]
+    if not width:  # degree 0: every row is the empty image tuple
+        return [b""] * count
+    as_bytes = np.dtype((np.void, width * rows.itemsize))
+    return rows.reshape(count, width).view(as_bytes).ravel().tolist()
+
+
+def _close(gen_rows, cap):
+    """Sorted image rows of the group generated by ``gen_rows``, found
+    breadth-first by right multiplication (x*g has images g[x])."""
+    degree = gen_rows.shape[1]
+    frontier = np.arange(degree, dtype=np.intp)[None]
+    seen = set(_keys(frontier))
+    found = [frontier]
+    while len(frontier):
+        products = gen_rows[:, frontier].reshape(len(gen_rows) * len(frontier), degree)
+        fresh = []
+        for i, key in enumerate(_keys(products)):
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        if len(seen) > cap:
+            raise ClosureTooLarge(f"closure exceeds cap {cap}")
+        frontier = products[fresh]
+        found.append(frontier)
+    return np.unique(np.concatenate(found), axis=0)
 
 
 class PermGroup:
-    """A finite permutation group with its full, canonically sorted element list."""
+    """A finite permutation group, materialized once as index data.
 
-    __slots__ = ("degree", "generators", "elements", "_index")
+    ``images`` is the (order x degree) int array of element image tuples in
+    lexicographic order, so index order is element order and the identity
+    is 0.  ``inv``, ``gens``, ``rmul`` and ``mul`` are the index data that
+    ``tables`` reads; ``mul`` composes image rows and looks the products up
+    by their bytes, so no Cayley table is ever stored.
+    """
 
-    def __init__(self, degree, generators, elements):
+    __slots__ = ("degree", "images", "inv", "gens", "rmul", "_lookup", "_elements", "_classes")
+
+    unit = 0
+
+    def __init__(self, degree, images, gen_rows=None):
+        """Index data of the group on the sorted image rows ``images``,
+        generated by the rows ``gen_rows`` (default: a small generating set)."""
         self.degree = degree
-        self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
-        self._index = {g: i for i, g in enumerate(self.elements)}
+        self.images = images
+        self._lookup = dict(zip(_keys(images), range(len(images))))
+        self._elements = self._classes = None
+        self.inv = self.index_rows(np.argsort(images, axis=1))
+        if gen_rows is None:
+            self.gens = tables.generating_set(self, range(self.order))
+        else:
+            self.gens = tuple(self.index_rows(gen_rows).tolist())
+        everything = np.arange(self.order)
+        self.rmul = tuple(self.mul(everything, s) for s in self.gens)
 
     @classmethod
     def from_generators(cls, degree, gens, cap=DEFAULT_CLOSURE_CAP):
-        gens = tuple(gens)
-        for g in gens:
-            if g.degree != degree:
-                raise ValueError(f"generator degree {g.degree} != {degree}")
-        return cls(degree, gens, _close(degree, gens, cap))
+        rows = _rows(degree, gens)
+        return cls(degree, _close(rows, cap), rows)
 
     @classmethod
     def from_elements(cls, degree, elements):
         """Wrap an already-closed element set (trusted)."""
-        elements = tuple(sorted(set(elements)))
-        gens = tuple(g for g in elements if not g.is_identity())
-        return cls(degree, gens, elements)
+        return cls(degree, np.unique(_rows(degree, elements), axis=0))
+
+    def _sub(self, members, gens=None):
+        """The subgroup on the sorted indices ``members``, generated by the
+        indices ``gens`` (default: a small generating set)."""
+        return PermGroup(
+            self.degree, self.images[members], None if gens is None else self.images[list(gens)]
+        )
+
+    def mul(self, a, b):
+        """Indices of the products a*b, broadcast over index arrays."""
+        return self.index_rows(self.images[np.asarray(b)[..., None], self.images[a]])
+
+    def index_rows(self, rows):
+        """Indices of the elements with the image tuples ``rows`` (last axis)."""
+        rows = np.asarray(rows)
+        found = list(map(self._lookup.__getitem__, _keys(rows)))
+        return np.array(found, dtype=np.intp).reshape(rows.shape[:-1])
 
     @property
     def order(self):
-        return len(self.elements)
+        return len(self.images)
 
     @property
     def identity(self):
         return Permutation.identity(self.degree)
 
-    def __contains__(self, g):
-        return g in self._index
+    def element(self, i):
+        return Permutation(self.images[i].tolist())
 
-    def __iter__(self):
-        return iter(self.elements)
+    @property
+    def generators(self):
+        return tuple(self.element(s) for s in self.gens)
 
-    def __len__(self):
-        return len(self.elements)
+    @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = tuple(Permutation(row) for row in self.images.tolist())
+        return self._elements
 
     def __eq__(self, other):
         return (
             isinstance(other, PermGroup)
             and self.degree == other.degree
-            and self.elements == other.elements
+            and np.array_equal(self.images, other.images)
         )
 
     def __hash__(self):
-        return hash((self.degree, self.elements))
+        return hash((self.degree, self.images.tobytes()))
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
     def index_of(self, g):
-        return self._index[g]
-
-    def is_subgroup(self, other):
-        """True if ``other``'s elements all lie in this group."""
-        return all(g in self._index for g in other.elements)
+        return self._lookup[_keys(np.asarray(g.images))[0]]
 
     def is_abelian(self):
-        gens = self.generators
-        return all(a * b == b * a for a in gens for b in gens)
+        return tables.is_abelian(self)
 
     def exponent(self):
-        return math.lcm(*(g.order() for g in self.elements))
+        return math.lcm(*tables.element_orders(self).tolist())
 
     def subgroup(self, gens):
-        closed = _close(self.degree, tuple(gens), len(self.elements))
-        return PermGroup(self.degree, tuple(gens), closed)
+        """The subgroup generated by ``gens``, which must lie in this group."""
+        rows = _rows(self.degree, gens)
+        try:
+            seed = self.index_rows(rows)
+        except KeyError:
+            raise ValueError("subgroup generators must lie in the group") from None
+        return PermGroup(self.degree, self.images[tables.closure(self, seed)], rows)
+
+    def _class_data(self):
+        if self._classes is None:
+            classes, class_of = tables.conjugacy_classes(self)
+            class_of.flags.writeable = False
+            self._classes = (classes, class_of)
+        return self._classes
 
     def conjugacy_classes(self):
         """Partition into classes; reps are class minima; sorted by (size, rep)."""
-        unassigned = set(self.elements)
-        classes = []
-        gens = self.generators or (self.identity,)
-        while unassigned:
-            x = min(unassigned)
-            orbit = {x}
-            frontier = [x]
-            while frontier:
-                new = []
-                for y in frontier:
-                    for g in gens:
-                        z = y.conjugate_by(g)
-                        if z not in orbit:
-                            orbit.add(z)
-                            new.append(z)
-                frontier = new
-            unassigned -= orbit
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda c: (len(c), c[0]))
-        return [(c[0], c) for c in classes]
+        els = self.elements
+        return [(els[c[0]], tuple(els[i] for i in c.tolist())) for c in self._class_data()[0]]
 
     def class_index_map(self):
-        """Map element -> index of its conjugacy class (canonical class order)."""
-        out = {}
-        for j, (_, members) in enumerate(self.conjugacy_classes()):
-            for g in members:
-                out[g] = j
-        return out
+        """Class index (canonical class order) of every element, by element index."""
+        return self._class_data()[1]
 
     def centralizer_of(self, g):
         """Subgroup of elements commuting with g (g need not lie here)."""
-        members = [h for h in self.elements if h * g == g * h]
-        return PermGroup.from_elements(self.degree, members)
-
-    def center(self):
-        gens = self.generators or (self.identity,)
-        members = [h for h in self.elements if all(h * g == g * h for g in gens)]
-        return PermGroup.from_elements(self.degree, members)
-
-    def normal_closure(self, seed):
-        """Smallest normal subgroup containing ``seed`` elements."""
-        gens = list(seed)
-        while True:
-            sub = _close(self.degree, tuple(gens), len(self.elements)) if gens else {self.identity}
-            grown = False
-            for h in list(gens):
-                for g in self.generators:
-                    c = h.conjugate_by(g)
-                    if c not in sub:
-                        gens.append(c)
-                        grown = True
-            if not grown:
-                return PermGroup(self.degree, tuple(gens), sub)
-
-    def derived_subgroup(self):
-        comms = {
-            a.inverse() * b.inverse() * a * b
-            for a in self.generators
-            for b in self.generators
-        }
-        comms.discard(self.identity)
-        return self.normal_closure(comms)
-
-    def derived_series(self):
-        series = [self]
-        while series[-1].order > 1:
-            nxt = series[-1].derived_subgroup()
-            if nxt.order == series[-1].order:
-                break
-            series.append(nxt)
-        return series
-
-    def lower_central_series(self):
-        series = [self]
-        while series[-1].order > 1:
-            prev = series[-1]
-            comms = {
-                a.inverse() * b.inverse() * a * b
-                for a in self.generators
-                for b in prev.generators
-            }
-            comms.discard(self.identity)
-            nxt = self.normal_closure(comms)
-            if nxt.order == prev.order:
-                break
-            series.append(nxt)
-        return series
+        s = np.asarray(g.images, dtype=np.intp)
+        return self._sub(np.flatnonzero((s[self.images] == self.images[:, s]).all(axis=1)))
 
     def is_solvable(self):
-        return self.derived_series()[-1].order == 1
-
-    def is_nilpotent(self):
-        return self.lower_central_series()[-1].order == 1
-
-    def coset_representatives(self, sub):
-        """Canonical reps of the left cosets x*sub, in element order."""
-        reps = []
-        seen = set()
-        for g in self.elements:
-            if g not in seen:
-                reps.append(g)
-                seen.update(g * h for h in sub.elements)
-        return reps
+        return tables.is_solvable(self)
 
     def quotient_table(self, normal):
-        """Cayley table of G/N on coset indices, plus element -> coset index."""
-        coset_of = {}
-        reps = []
-        for g in self.elements:
-            if g not in coset_of:
-                idx = len(reps)
-                reps.append(g)
-                for h in normal.elements:
-                    coset_of[g * h] = idx
-        k = len(reps)
-        table = [[coset_of[reps[i] * reps[j]] for j in range(k)] for i in range(k)]
-        return table, coset_of
+        """Cayley table of G/N on coset indices, plus the coset index of every element."""
+        return tables.quotient(self, self.index_rows(normal.images))
 
     def cayley_table(self):
-        idx = self._index
-        return [[idx[a * b] for b in self.elements] for a in self.elements]
+        everything = np.arange(self.order)
+        return self.mul(everything[:, None], everything[None, :]).tolist()
 
 
 @dataclass(frozen=True)
@@ -364,60 +323,56 @@ class Orbit:
 
 
 class GroupAction:
-    """Action table of a PermGroup on a finite labelled set.
+    """A PermGroup acting on a finite labelled set, as an index table.
 
-    Convention: ``table[(g, x)]`` is g.x with ``(gh).x == g.(h.x)``.
+    ``table[g, i]`` is the domain position of g.x for the element of index g
+    and x = ``domain[i]``, with ``(gh).x == g.(h.x)``.
     """
 
     def __init__(self, group, domain, table, verify=True):
         self.group = group
         self.domain = tuple(domain)
-        self.table = dict(table)
+        self.table = np.asarray(table, dtype=np.intp)
         if verify:
             self._verify()
 
     @classmethod
     def from_function(cls, group, domain, act, verify=True):
-        table = {(g, x): act(g, x) for g in group.elements for x in domain}
+        domain = tuple(domain)
+        pos = {x: i for i, x in enumerate(domain)}
+        table = np.array(
+            [[pos[act(g, x)] for x in domain] for g in group.elements], dtype=np.intp
+        ).reshape(group.order, len(domain))
         return cls(group, domain, table, verify=verify)
 
     def _verify(self):
-        e = self.group.identity
-        for x in self.domain:
-            if self.table[(e, x)] != x:
-                raise ValueError(f"identity moves {x!r}")
-        pairs = (
-            ((g, h) for g in self.group.elements for h in self.group.elements)
-            if self.group.order**2 * len(self.domain) <= 2_000_000
-            else ((g, h) for g in self.group.generators for h in self.group.elements)
-        )
-        for g, h in pairs:
-            gh = g * h
-            for x in self.domain:
-                if self.table[(gh, x)] != self.table[(g, self.table[(h, x)])]:
-                    raise ValueError("not an action: composition fails")
-
-    def apply(self, g, x):
-        return self.table[(g, x)]
+        t = self.table
+        moved = np.flatnonzero(t[self.group.unit] != np.arange(len(self.domain)))
+        if moved.size:
+            raise ValueError(f"identity moves {self.domain[moved[0]]!r}")
+        # (hs).x == h.(s.x) for every h and generator s makes t a homomorphism
+        for s, r in zip(self.group.gens, self.group.rmul):
+            if not np.array_equal(t[r], t[:, t[s]]):
+                raise ValueError("not an action: composition fails")
 
     def orbits(self):
         """Orbits sorted by (size, representative position); reps carry stabilizers."""
-        pos = {x: i for i, x in enumerate(self.domain)}
-        unseen = set(self.domain)
+        unseen = np.ones(len(self.domain), dtype=bool)
         out = []
-        while unseen:
-            x = min(unseen, key=pos.get)
-            members = {self.table[(g, x)] for g in self.group.elements}
-            stab = [g for g in self.group.elements if self.table[(g, x)] == x]
-            unseen -= members
+        for i in range(len(self.domain)):
+            if not unseen[i]:
+                continue
+            images = self.table[:, i]
+            members = np.unique(images)
+            unseen[members] = False
             out.append(
                 Orbit(
-                    representative=x,
-                    members=tuple(sorted(members, key=pos.get)),
-                    stabilizer=PermGroup.from_elements(self.group.degree, stab),
+                    representative=self.domain[i],
+                    members=tuple(self.domain[j] for j in members.tolist()),
+                    stabilizer=self.group._sub(np.flatnonzero(images == i)),
                 )
             )
-        out.sort(key=lambda o: (len(o.members), pos[o.representative]))
+        out.sort(key=lambda o: len(o.members))
         return out
 
 
@@ -430,83 +385,71 @@ class StructureInvariants:
     is_nilpotent: bool
 
 
-def group_from_generators(degree, gens, cap=DEFAULT_CLOSURE_CAP):
-    return PermGroup.from_generators(degree, gens, cap=cap)
-
-
-def conjugacy_classes(group):
-    return group.conjugacy_classes()
-
-
-def centralizer_in(group, g):
-    return group.centralizer_of(g)
-
-
-def orbits(action):
-    return action.orbits()
-
-
 def structure_invariants(group):
-    from . import tables
-
-    derived = group.derived_subgroup()
+    derived = group._sub(*tables.derived_subgroup(group))
     qtable, _ = group.quotient_table(derived)
     return StructureInvariants(
-        center=group.center(),
+        center=group._sub(tables.center(group)),
         commutator_subgroup=derived,
         abelianization_type=tables.abelian_invariants(qtable),
         is_solvable=group.is_solvable(),
-        is_nilpotent=group.is_nilpotent(),
+        is_nilpotent=tables.is_nilpotent(group),
     )
 
 
 # Named families.  All are realized on exactly n points so that family
 # subgroups of S_n sit on the first points of the ambient set.
 
-def symmetric_group(n, degree=None):
-    degree = degree or n
+
+def _family(n, degree, order, cycles):
+    """The group on ``degree`` points generated by ``cycles()``, one list of
+    0-based cycles per generator.  The known order is checked against the
+    closure cap before anything is built."""
     if n < 1 or degree < n:
         raise ValueError("need 1 <= n <= degree")
-    gens = []
-    if n >= 2:
-        gens.append(Permutation.from_cycles(degree, [(0, 1)]))
-    if n >= 3:
-        gens.append(Permutation.from_cycles(degree, [tuple(range(n))]))
-    return PermGroup.from_generators(degree, gens, cap=math.factorial(n))
+    if order > DEFAULT_CLOSURE_CAP:
+        raise ClosureTooLarge(f"group order exceeds cap {DEFAULT_CLOSURE_CAP}")
+    return PermGroup.from_generators(degree, [Permutation.from_cycles(degree, c) for c in cycles()])
+
+
+def _factorial(n):
+    """n!, computed only as far as needed to compare it with the closure cap."""
+    out = 1
+    for k in range(2, n + 1):
+        out *= k
+        if out > 2 * DEFAULT_CLOSURE_CAP:
+            break
+    return out
+
+
+def symmetric_group(n, degree=None):
+    return _family(
+        n, degree or n, _factorial(n), lambda: [[(0, 1)], [tuple(range(n))]][: n - 1]
+    )
 
 
 def alternating_group(n, degree=None):
-    degree = degree or n
-    if n < 1 or degree < n:
-        raise ValueError("need 1 <= n <= degree")
-    gens = []
-    if n >= 3:
-        gens.append(Permutation.from_cycles(degree, [(0, 1, 2)]))
-    if n >= 4:
-        cyc = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
-        gens.append(Permutation.from_cycles(degree, [cyc]))
-    return PermGroup.from_generators(degree, gens, cap=max(math.factorial(n) // 2, 1))
+    def cycles():
+        long = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
+        return [[(0, 1, 2)], [long]][: max(n - 2, 0)]
+
+    return _family(n, degree or n, max(_factorial(n) // 2, 1), cycles)
 
 
 def cyclic_group(n, degree=None):
-    degree = degree or n
-    if n < 1 or degree < n:
-        raise ValueError("need 1 <= n <= degree")
-    gens = [Permutation.from_cycles(degree, [tuple(range(n))])] if n > 1 else []
-    return PermGroup.from_generators(degree, gens, cap=n)
+    return _family(n, degree or n, n, lambda: [[tuple(range(n))]] if n > 1 else [])
 
 
 def dihedral_group(n):
     """Symmetries of the regular n-gon on n points (order 2n); needs n >= 3."""
     if n < 3:
         raise ValueError("dihedral family realized on n points needs n >= 3")
-    rot = Permutation.from_cycles(n, [tuple(range(n))])
-    refl = Permutation([(n - i) % n for i in range(n)])
-    return PermGroup.from_generators(n, [rot, refl], cap=2 * n)
+    reflection = [(i, n - i) for i in range(1, (n + 1) // 2)]
+    return _family(n, n, 2 * n, lambda: [[tuple(range(n))], reflection])
 
 
 def quaternion_group():
     """The quaternion group of order 8 in its regular representation."""
-    i = Permutation.from_cycles(8, [(0, 2, 1, 3), (4, 6, 5, 7)])
-    j = Permutation.from_cycles(8, [(0, 4, 1, 5), (2, 7, 3, 6)])
-    return PermGroup.from_generators(8, [i, j], cap=8)
+    i = [(0, 2, 1, 3), (4, 6, 5, 7)]
+    j = [(0, 4, 1, 5), (2, 7, 3, 6)]
+    return _family(8, 8, 8, lambda: [i, j])

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
+from .cyclo import _prime_divisors
 from .errors import AxiomViolation, GradingInconsistent, NoPositiveEigenvector
 
 
@@ -374,48 +375,11 @@ def is_cyclically_nilpotent(ring):
     return rec(tuple(range(ring.size)))
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def group_ring(group):
     """Pointed ring of a permutation group: basis = group elements."""
-    els = group.elements
-    n = len(els)
-    idx = group.index_of
+    n = group.order
+    everything = np.arange(n)
     tensor = np.zeros((n, n, n), dtype=np.int64)
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            tensor[i, j, idx(a * b)] = 1
-    dual = tuple(idx(a.inverse()) for a in els)
-    labels = tuple(a.cycle_string() for a in els)
-    return FusionRing(labels, tensor, dual)
-
-
-def group_ring_from_table(table, labels=None):
-    n = len(table)
-    tables.check_table(table)
-    e = tables.identity_index(table)
-    if e != 0:
-        order = [e] + [i for i in range(n) if i != e]
-        table = [[order.index(table[a][b]) for b in order] for a in order]
-        if labels:
-            labels = [labels[i] for i in order]
-    tensor = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            tensor[i, j, table[i][j]] = 1
-    inv = tables.inverses(table)
-    if labels is None:
-        labels = [f"g{i}" for i in range(n)]
-    return FusionRing(tuple(labels), tensor, tuple(inv))
+    tensor[everything[:, None], everything[None, :], group.cayley_table()] = 1
+    labels = tuple(a.cycle_string() for a in group.elements)
+    return FusionRing(labels, tensor, tuple(group.inv.tolist()))

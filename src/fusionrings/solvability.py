@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from . import rings, tables
 from .chartab import character_table, rep_g_fusion_ring
+from .cyclo import _is_prime
 from .equivalence import find_equivalence
 from .perms import dihedral_group
 
@@ -26,17 +27,6 @@ class SolvabilityVerdict:
 
     def fired_rule(self):
         return self.trace[-1][0] if self.verdict != UNKNOWN else None
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _dihedral_order_for(sig, total):

@@ -19,7 +19,6 @@ from . import rings, tables
 from .bicross import (
     dual_invertibles,
     equivariantization_type,
-    matched_pair_from_factorization,
     split_fusion_ring,
     split_type,
 )
@@ -78,15 +77,6 @@ def _j5_ring():
     return _get("j5", lambda: split_fusion_ring(pair_cyclic_symmetric(5)))
 
 
-def _b6_pair():
-    def build():
-        g = symmetric_group(6)
-        f = g.subgroup([Permutation.parse("(1 2)", 6)])
-        return matched_pair_from_factorization(g, f, alternating_group(6, degree=6))
-
-    return _get("b6_pair", build)
-
-
 def _rep_ring(group):
     return rep_g_fusion_ring(character_table(group))
 
@@ -132,7 +122,7 @@ def criterion_2():
     assert l5 == ((1, 3), (3, 1), (4, 3)), l5
     b5 = split_type(pair_transposition_alternating(5))
     assert b5 == ((1, 12), (2, 27)), b5
-    b6 = split_type(_b6_pair())
+    b6 = split_type(pair_transposition_alternating(6))
     assert b6 == ((1, 48), (2, 168)), b6
     return "H5 (1,2;2,1;3,2;4,2;8,1), L5 (1,3;3,1;4,3), B5 (1,12;2,27), B6 (1,48;2,168)"
 
@@ -212,15 +202,11 @@ def criterion_6():
         inv = rings.invertibles(ring)
         si = structure_invariants(group)
         qt, _ = group.quotient_table(si.commutator_subgroup)
-        want = tables.abelian_invariants(_direct_product_table(qt, _subtable(si.center)))
+        want = tables.abelian_invariants(_direct_product_table(qt, si.center.cayley_table()))
         got = tables.abelian_invariants([list(r) for r in inv.table])
         assert got == want, f"{name}: invertibles {got} vs {want}"
         assert abs(central_charge(md) - 1) < 1e-9, name
     return f"all {len(_DOUBLE_CORPUS)} doubles pass S/T/Verlinde/invertible/charge checks"
-
-
-def _subtable(group):
-    return group.cayley_table()
 
 
 def _direct_product_table(t1, t2):
@@ -339,7 +325,7 @@ def criterion_10():
         sig = equivariantization_type(ring, action, 2)
         assert sig == want, (n, sig)
     b5 = split_type(pair_transposition_alternating(5))
-    b6 = split_type(_b6_pair())
+    b6 = split_type(pair_transposition_alternating(6))
     assert b5 == ((1, 12), (2, 27)) and b6 == ((1, 48), (2, 168))
     return "equivariantizations of the A5/A6 pointed categories match the B5/B6 types"
 

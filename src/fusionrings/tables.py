@@ -1,14 +1,25 @@
-"""Small finite groups presented by Cayley tables on indices 0..n-1.
+"""Finite groups on indices 0..n-1, and every structural algorithm on them.
 
-Grading groups, invertible-object groups and quotients all surface as plain
-multiplication tables; everything structural we need about them (orders,
-centers, solvability, small-order isomorphism labels, prime-index subgroups
-with cyclic quotient) lives here.
+The algorithms here read index data only: ``order``; ``unit``, the index of
+the identity; ``inv``, the index of each inverse as an int array; ``gens``,
+generator indices; ``rmul``, for each generator s the index map x -> x*s;
+and ``mul(a, b)``, the product of index arrays under broadcasting.  Two kinds
+of group carry that data: ``perms.PermGroup``, and ``CayleyGroup`` here,
+which wraps a multiplication table, the form in which grading groups,
+invertible-object groups and quotients surface.  Every public function takes
+either kind, or a bare table (a square list of rows), which it wraps.
+
+Subgroups are sorted index arrays in the numbering of the group they lie
+in; where a later step needs their generators too, they travel as
+``(members, gens)``.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
+
+import numpy as np
 
 
 def check_table(table):
@@ -18,145 +29,223 @@ def check_table(table):
             raise ValueError("not a Cayley table")
 
 
-def identity_index(table):
-    n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            return e
-    raise ValueError("table has no identity")
+class CayleyGroup:
+    """A group given by its multiplication table: ``table[a][b]`` is a*b."""
+
+    def __init__(self, table):
+        check_table(table)
+        n = len(table)
+        self.table = np.array(table, dtype=np.intp).reshape(n, n)
+        self.order = n
+        everything = np.arange(n)
+        units = np.flatnonzero(
+            (self.table == everything).all(axis=1) & (self.table.T == everything).all(axis=1)
+        )
+        if not units.size:
+            raise ValueError("table has no identity")
+        self.unit = int(units[0])
+        self.inv = np.argmax(self.table == self.unit, axis=1)
+        self.gens = generating_set(self, everything)
+        self.rmul = tuple(self.table[:, s] for s in self.gens)
+
+    def mul(self, a, b):
+        return self.table[a, b]
 
 
-def inverses(table):
-    n = len(table)
-    e = identity_index(table)
-    inv = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if table[a][b] == e:
-                inv[a] = b
-                break
-    return inv
+def _group(group):
+    return group if hasattr(group, "mul") else CayleyGroup(group)
 
 
-def element_orders(table):
-    n = len(table)
-    e = identity_index(table)
-    orders = []
-    for a in range(n):
-        k, x = 1, a
-        while x != e:
-            x = table[x][a]
-            k += 1
-        orders.append(k)
+def _indices(xs):
+    return np.asarray(xs, dtype=np.intp).reshape(-1)
+
+
+def closure(group, seed):
+    """Sorted indices of the subgroup generated by the indices ``seed``."""
+    g = _group(group)
+    seed = np.unique(_indices(seed))
+    inside = np.zeros(g.order, dtype=bool)
+    inside[g.unit] = True
+    frontier = np.array([g.unit])
+    while frontier.size and seed.size:
+        products = np.unique(g.mul(frontier[:, None], seed[None, :]))
+        frontier = products[~inside[products]]
+        inside[frontier] = True
+    return np.flatnonzero(inside)
+
+
+def generating_set(group, members):
+    """Generator indices of the subgroup ``members``: each member, in index
+    order, that the members chosen before it do not generate."""
+    g = _group(group)
+    gens = []
+    inside = np.zeros(g.order, dtype=bool)
+    inside[g.unit] = True
+    for x in _indices(members).tolist():
+        if not inside[x]:
+            gens.append(x)
+            inside[closure(g, gens)] = True
+    return tuple(gens)
+
+
+def element_orders(group, xs=None):
+    """Order of each element of ``xs`` (default: every element)."""
+    g = _group(group)
+    xs = np.arange(g.order) if xs is None else _indices(xs)
+    orders = np.ones(len(xs), dtype=np.intp)
+    power = xs.copy()
+    live = np.flatnonzero(power != g.unit)
+    while live.size:
+        power[live] = g.mul(power[live], xs[live])
+        orders[live] += 1
+        live = live[power[live] != g.unit]
     return orders
 
 
-def order_multiset(table):
-    return tuple(sorted(Counter(element_orders(table)).items()))
+def order_multiset(group):
+    return tuple(sorted(Counter(element_orders(group).tolist()).items()))
 
 
-def is_abelian(table):
-    n = len(table)
-    return all(table[a][b] == table[b][a] for a in range(n) for b in range(a))
+def is_abelian(group):
+    g = _group(group)
+    s = _indices(g.gens)
+    return bool((g.mul(s[:, None], s[None, :]) == g.mul(s[None, :], s[:, None])).all())
 
 
-def subgroup_closure(table, seed):
-    e = identity_index(table)
-    sub = {e}
-    frontier = list(set(seed) | {e})
-    sub.update(frontier)
-    inv = inverses(table)
-    gens = [g for g in set(seed)] + [inv[g] for g in set(seed)]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = table[a][g]
-                if c not in sub:
-                    sub.add(c)
-                    new.append(c)
-        frontier = new
-    return tuple(sorted(sub))
-
-
-def commutator_subgroup(table):
-    n = len(table)
-    inv = inverses(table)
-    comms = {table[table[inv[a]][inv[b]]][table[a][b]] for a in range(n) for b in range(n)}
-    return subgroup_closure(table, comms)
-
-
-def center(table):
-    n = len(table)
-    return tuple(a for a in range(n) if all(table[a][b] == table[b][a] for b in range(n)))
-
-
-def restrict(table, sub):
-    """Cayley table of a subgroup given as a sorted index tuple."""
-    pos = {g: i for i, g in enumerate(sub)}
-    return [[pos[table[a][b]] for b in sub] for a in sub]
-
-
-def quotient(table, normal_sub):
-    """Quotient table by a normal subgroup; also returns element -> coset index."""
-    n = len(table)
-    nset = set(normal_sub)
-    coset_of = [None] * n
-    reps = []
-    for a in range(n):
-        if coset_of[a] is None:
-            idx = len(reps)
-            reps.append(a)
-            for h in nset:
-                coset_of[table[a][h]] = idx
-    k = len(reps)
-    qt = [[coset_of[table[reps[i]][reps[j]]] for j in range(k)] for i in range(k)]
-    check_table(qt)
-    return qt, coset_of
-
-
-def is_normal(table, sub):
-    n = len(table)
-    inv = inverses(table)
-    sset = set(sub)
-    return all(table[table[inv[g]][h]][g] in sset for g in range(n) for h in sub)
-
-
-def derived_series_reaches_trivial(table):
-    t = table
+def conjugacy_classes(group):
+    """Conjugacy classes as sorted index arrays, ordered by (size, least
+    member), and the class index of every element."""
+    g = _group(group)
+    # s^-1 x s for each generator s, from x -> x*s and inversion alone
+    conjugations = [r[g.inv[r[g.inv]]] for r in g.rmul]
+    # lower every label to the least index reachable by conjugation
+    label = np.arange(g.order)
     while True:
-        d = commutator_subgroup(t)
-        if len(d) == len(t):
-            return len(t) == 1
-        if len(d) == 1:
-            return True
-        t = restrict(t, d)
+        lowered = label.copy()
+        for c in conjugations:
+            np.minimum(lowered, lowered[c], out=lowered)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            break
+        label = lowered
+    reps, sizes = np.unique(label, return_counts=True)
+    by_size = np.lexsort((reps, sizes))
+    rank = np.empty(g.order, dtype=np.intp)
+    rank[reps[by_size]] = np.arange(len(reps))
+    class_of = rank[label]
+    members = np.argsort(class_of, kind="stable")
+    classes = np.split(members, np.cumsum(sizes[by_size])[:-1])
+    return classes, class_of
 
 
-is_solvable = derived_series_reaches_trivial
+def center(group):
+    """Sorted indices of the elements commuting with every generator."""
+    g = _group(group)
+    everything = np.arange(g.order)
+    keep = np.ones(g.order, dtype=bool)
+    for s, r in zip(g.gens, g.rmul):
+        keep &= r == g.mul(s, everything)
+    return np.flatnonzero(keep)
 
 
-def abelian_invariants(table):
-    """Invariant factors d1 | d2 | ... of an abelian table, ascending."""
-    if not is_abelian(table):
-        raise ValueError("table is not abelian")
+def _commutators(g, xs, ys):
+    """The non-trivial commutators a^-1 b^-1 a b, a in xs, b in ys."""
+    a, b = (m.reshape(-1) for m in np.meshgrid(_indices(xs), _indices(ys), indexing="ij"))
+    c = g.mul(g.mul(g.inv[a], g.inv[b]), g.mul(a, b))
+    return np.unique(c[c != g.unit])
+
+
+def normal_closure(group, seed, over):
+    """(members, gens) of the least subgroup containing the indices ``seed``
+    and normalized by the indices ``over``."""
+    g = _group(group)
+    gens = np.unique(_indices(seed))
+    over = _indices(over)
+    while True:
+        members = closure(g, gens)
+        inside = np.zeros(g.order, dtype=bool)
+        inside[members] = True
+        conjugates = g.mul(g.mul(g.inv[over][:, None], gens[None, :]), over[:, None])
+        new = np.unique(conjugates[~inside[conjugates]])
+        if not new.size:
+            return members, tuple(gens.tolist())
+        gens = np.concatenate([gens, new])
+
+
+def derived_subgroup(group, gens=None):
+    """(members, gens) of the commutator subgroup of the subgroup generated
+    by ``gens`` (default: the whole group)."""
+    g = _group(group)
+    gens = g.gens if gens is None else gens
+    return normal_closure(g, _commutators(g, gens, gens), gens)
+
+
+def _series(g, step):
+    series = [(np.arange(g.order), g.gens)]
+    while len(series[-1][0]) > 1:
+        nxt = step(series[-1][1])
+        if len(nxt[0]) == len(series[-1][0]):
+            break
+        series.append(nxt)
+    return series
+
+
+def derived_series(group):
+    """The derived series as (members, gens) pairs, down to where it stops."""
+    g = _group(group)
+    return _series(g, lambda gens: derived_subgroup(g, gens))
+
+
+def lower_central_series(group):
+    """The lower central series as (members, gens) pairs, down to where it stops."""
+    g = _group(group)
+    return _series(g, lambda gens: normal_closure(g, _commutators(g, g.gens, gens), g.gens))
+
+
+def is_solvable(group):
+    return len(derived_series(group)[-1][0]) == 1
+
+
+def is_nilpotent(group):
+    return len(lower_central_series(group)[-1][0]) == 1
+
+
+def left_cosets(group, sub):
+    """Left cosets x*sub, numbered in order of their least elements: the
+    coset index of every element, and the least element of every coset."""
+    g = _group(group)
+    sub = _indices(sub)
+    coset_of = np.full(g.order, -1, dtype=np.intp)
+    reps = []
+    for x in range(g.order):
+        if coset_of[x] < 0:
+            coset_of[g.mul(x, sub)] = len(reps)
+            reps.append(x)
+    return coset_of, np.array(reps, dtype=np.intp)
+
+
+def quotient(group, normal):
+    """Multiplication table of G/N on coset indices, and the coset index of
+    every element."""
+    g = _group(group)
+    coset_of, reps = left_cosets(g, normal)
+    table = coset_of[g.mul(reps[:, None], reps[None, :])].tolist()
+    check_table(table)
+    return table, coset_of
+
+
+def abelian_invariants(group):
+    """Invariant factors d1 | d2 | ... of an abelian group, ascending."""
+    g = _group(group)
+    if not is_abelian(g):
+        raise ValueError("group is not abelian")
     factors = []
-    t = table
-    while len(t) > 1:
-        orders = element_orders(t)
-        m = max(orders)
-        a = orders.index(m)
-        factors.append(m)
-        t, _ = quotient(t, subgroup_closure(t, [a]))
+    while g.order > 1:
+        orders = element_orders(g)
+        a = int(np.argmax(orders))
+        factors.append(int(orders[a]))
+        g = CayleyGroup(quotient(g, closure(g, [a]))[0])
     return tuple(sorted(factors))
-
-
-def power(table, a, k):
-    e = identity_index(table)
-    x = e
-    for _ in range(k):
-        x = table[x][a]
-    return x
 
 
 def prime_index_cyclic_subgroups(table, q):
@@ -165,54 +254,37 @@ def prime_index_cyclic_subgroups(table, q):
     Any such K contains the commutator subgroup and all q-th powers, so the
     candidates are preimages of hyperplanes in the elementary abelian quotient.
     """
-    n = len(table)
-    seed = set(commutator_subgroup(table))
-    seed.update(power(table, a, q) for a in range(n))
-    b = subgroup_closure(table, seed)
-    if len(b) == n:
+    g = _group(table)
+    everything = np.arange(g.order)
+    powers = everything
+    for _ in range(q - 1):
+        powers = g.mul(powers, everything)
+    b = closure(g, np.union1d(derived_subgroup(g)[0], powers))
+    if len(b) == g.order:
         return []
-    qt, coset_of = quotient(table, b)
-    m = len(qt)
-    if m % q:
+    qt, coset_of = quotient(g, b)
+    quo = CayleyGroup(qt)
+    if quo.order % q:
         raise ValueError("quotient size not a power of the prime")
     # coordinates of the elementary abelian quotient over F_q
-    basis = []
-    span = {identity_index(qt)}
-    for x in range(m):
-        if x not in span:
-            basis.append(x)
-            span = set(subgroup_closure(qt, basis))
-    r = len(basis)
-    coords = {identity_index(qt): (0,) * r}
-    for vec_idx in range(q**r):
-        vec = []
-        v = vec_idx
-        for _ in range(r):
-            v, c = divmod(v, q)
-            vec.append(c)
-        x = identity_index(qt)
-        for bi, c in zip(basis, vec):
-            x = qt[x][power(qt, bi, c)]
-        coords[x] = tuple(vec)
-    assert len(coords) == m
-    # hyperplanes = kernels of nonzero functionals, up to scalar
-    out = []
-    seen = set()
-    for f_idx in range(1, q**r):
-        f = []
-        v = f_idx
-        for _ in range(r):
-            v, c = divmod(v, q)
-            f.append(c)
-        lead = next(c for c in f if c)
+    basis = generating_set(quo, range(quo.order))
+    vectors = list(itertools.product(range(q), repeat=len(basis)))
+    coords = {}
+    for vec in vectors:
+        x = quo.unit
+        for b_i, c in zip(basis, vec):
+            for _ in range(c):
+                x = int(quo.mul(x, b_i))
+        coords[x] = vec
+    assert len(coords) == quo.order
+    # hyperplanes = kernels of nonzero functionals, one per line of scalars
+    out = set()
+    for f in vectors:
+        lead = next((c for c in f if c), 0)
         if lead != 1:
             continue
-        kernel = frozenset(x for x, vec in coords.items() if sum(a * b for a, b in zip(f, vec)) % q == 0)
-        if kernel in seen:
-            continue
-        seen.add(kernel)
-        sub = tuple(sorted(i for i in range(n) if coset_of[i] in kernel))
-        out.append(sub)
+        kernel = [x for x, vec in coords.items() if sum(a * b for a, b in zip(f, vec)) % q == 0]
+        out.add(tuple(np.flatnonzero(np.isin(coset_of, kernel)).tolist()))
     return sorted(out)
 
 
@@ -228,25 +300,17 @@ _KNOWN_NONABELIAN = {
 }
 
 
-def _is_dihedral(table):
-    n = len(table)
+def _is_dihedral(g):
+    n = g.order
     if n % 2 or n < 4:
         return False
-    m = n // 2
-    orders = element_orders(table)
-    try:
-        a = orders.index(m)
-    except ValueError:
+    orders = element_orders(g)
+    rotations = np.flatnonzero(orders == n // 2)
+    if not rotations.size:
         return False
-    cyc = set(subgroup_closure(table, [a]))
-    if len(cyc) != m:
-        return False
-    inv = inverses(table)
-    for s in range(n):
-        if s in cyc:
-            continue
-        return orders[s] == 2 and table[table[inv[s]][a]][s] == inv[a]
-    return False
+    a = int(rotations[0])
+    s = int(np.setdiff1d(np.arange(n), closure(g, [a]))[0])
+    return bool(orders[s] == 2 and g.mul(g.mul(g.inv[s], a), s) == g.inv[a])
 
 
 def iso_name(table):
@@ -255,15 +319,17 @@ def iso_name(table):
     Reliable for the small orders this library meets; falls back to a
     descriptor when the data does not pin a familiar family.
     """
-    n = len(table)
+    g = _group(table)
+    n = g.order
     if n == 1:
         return "1"
-    if is_abelian(table):
-        return " x ".join(f"C{d}" for d in abelian_invariants(table))
-    if _is_dihedral(table):
+    if is_abelian(g):
+        return " x ".join(f"C{d}" for d in abelian_invariants(g))
+    if _is_dihedral(g):
         return f"D{n // 2}"
-    key = (n, order_multiset(table))
+    multiset = order_multiset(g)
+    key = (n, multiset)
     if key in _KNOWN_NONABELIAN:
         return _KNOWN_NONABELIAN[key]
-    orders = ",".join(f"{o}^{c}" for o, c in order_multiset(table))
+    orders = ",".join(f"{o}^{c}" for o, c in multiset)
     return f"nonabelian(order={n}, element_orders={orders})"

@@ -213,6 +213,14 @@ def test_cli_budget_exit_code(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_cli_named_families_obey_the_closure_cap():
+    for spec in ("S8", "A8"):
+        code, out = run_cli(["group", spec])
+        assert code == 3 and out == ""
+    code, out = run_cli(["group", "S7"])
+    assert code == 0 and docs.loads(out)["payload"]["order"] == 5040
+
+
 def test_cli_stdin_dash(tmp_path):
     _, pair_doc = run_cli(["pair", "A5", "C5", "A4"])
     code, out = run_cli(["bicross", "-", "--type"], stdin=pair_doc)

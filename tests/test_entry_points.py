@@ -1,0 +1,49 @@
+"""Entry points that live outside the library: the benchmark tracer and the demos."""
+
+import contextlib
+import importlib.util
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fusionrings import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tracer_module():
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_group_layer_buckets():
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["chartab", "S4"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert "perms.closure" in tracer.self_time
+    assert "perms.classes" in tracer.self_time
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_exits_cleanly(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr

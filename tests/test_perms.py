@@ -7,11 +7,10 @@ from fusionrings.errors import ClosureTooLarge
 from fusionrings.perms import (
     GroupAction,
     Permutation,
+    PermGroup,
     alternating_group,
-    centralizer_in,
     cyclic_group,
     dihedral_group,
-    group_from_generators,
     structure_invariants,
     symmetric_group,
 )
@@ -49,18 +48,18 @@ def test_parse_and_print_roundtrip():
 
 
 def test_group_from_generators_s3():
-    g = group_from_generators(3, [Permutation.parse("(1 2)", 3), Permutation.parse("(1 2 3)", 3)])
+    g = PermGroup.from_generators(3, [Permutation.parse("(1 2)", 3), Permutation.parse("(1 2 3)", 3)])
     assert g.order == 6
 
 
 def test_group_from_generators_c5():
-    g = group_from_generators(5, [Permutation.parse("(1 2 3 4 5)", 5)])
+    g = PermGroup.from_generators(5, [Permutation.parse("(1 2 3 4 5)", 5)])
     assert g.order == 5
 
 
 def test_group_from_generators_a5_matches_brute_force():
     gens = [Permutation.parse("(1 2 3)", 5), Permutation.parse("(1 2 3 4 5)", 5)]
-    g = group_from_generators(5, gens)
+    g = PermGroup.from_generators(5, gens)
     oracle = brute_closure(5, [p.images for p in gens])
     assert g.order == len(oracle) == 60
     assert {p.images for p in g.elements} == oracle
@@ -68,7 +67,7 @@ def test_group_from_generators_a5_matches_brute_force():
 
 def test_closure_cap():
     with pytest.raises(ClosureTooLarge):
-        group_from_generators(6, symmetric_group(6).generators, cap=100)
+        PermGroup.from_generators(6, symmetric_group(6).generators, cap=100)
 
 
 def test_elements_are_sorted_lexicographically():
@@ -122,19 +121,19 @@ def test_class_sizes_divide_group_order():
 
 def test_centralizer_a5_transposition():
     g = alternating_group(5)
-    c = centralizer_in(g, Permutation.parse("(1 2)", 5))
+    c = g.centralizer_of(Permutation.parse("(1 2)", 5))
     assert c.order == 6 and not c.is_abelian()
 
 
 def test_centralizer_a6_transposition():
     g = alternating_group(6)
-    c = centralizer_in(g, Permutation.parse("(1 2)", 6))
+    c = g.centralizer_of(Permutation.parse("(1 2)", 6))
     assert c.order == 24
 
 
 def test_centralizer_identity():
     g = symmetric_group(3)
-    assert centralizer_in(g, g.identity) == g
+    assert g.centralizer_of(g.identity) == g
 
 
 def test_trivial_action_orbits():
@@ -204,3 +203,9 @@ def test_lagrange_for_stabilizers_and_centralizers():
     g = alternating_group(5)
     for rep, _ in g.conjugacy_classes():
         assert g.order % g.centralizer_of(rep).order == 0
+
+
+def test_degree_zero_group_is_trivial():
+    g = PermGroup.from_generators(0, [])
+    assert g.order == 1 and g.elements == (Permutation.identity(0),)
+    assert [len(m) for _, m in g.conjugacy_classes()] == [1]
