@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rings, tables
 from .chartab import _cyclo_column_echelon, character_table, irrep_matrices
-from .cyclo import Cyclotomic, _monomial_reduction, _phi
+from .cyclo import Cyclotomic, _encode, _monomial_reduction, _phi
 from .errors import (
     GroupLawFailure,
     NonIntegralMultiplicity,
@@ -233,21 +233,6 @@ def split_type(mp):
     return tuple(sorted(counts.items()))
 
 
-def _encode(value, m):
-    """Canonical cyclotomic value -> integer coefficient vector over zeta_m."""
-    vec = [0] * m
-    if value.is_zero():
-        return vec
-    if m % value.conductor:
-        raise SingularCharacterSystem(f"value at conductor {value.conductor} outside Q(zeta_{m})")
-    lift = m // value.conductor
-    for e, c in value.coeffs.items():
-        if c.denominator != 1:
-            raise SingularCharacterSystem("character value is not an algebraic integer")
-        vec[e * lift] = int(c)
-    return vec
-
-
 def split_fusion_ring(mp, cocycles=None):
     """The based ring of Rep(k^Gamma # kF) via exact character decomposition."""
     irreps = split_irreps(mp, cocycles)
@@ -264,7 +249,10 @@ def split_fusion_ring(mp, cocycles=None):
     chi_cyc = []
     for w in irreps:
         values = w.stab_table.chars[w.stab_row]
-        codes = np.array([_encode(v, m) for v in values], dtype=np.int64)
+        scale, codes = _encode(values, m)
+        if scale != 1:
+            raise SingularCharacterSystem("character value is not an algebraic integer")
+        codes = np.array(codes, dtype=np.int64)
         live = np.array([not v.is_zero() for v in values] + [False])
         # class of each F-element in the stabilizer; -1 (a dead class) outside
         class_in_f = np.full(n_f, -1, dtype=np.intp)
@@ -321,9 +309,9 @@ def split_fusion_ring(mp, cocycles=None):
     x_canon = np.zeros((n, len(pivots), phim), dtype=np.int64)
     for k, (t_i, y_i) in enumerate(pivots):
         for l in range(n):
-            v = chi_cyc[l].get((t_i, y_i))
-            if v is not None:
-                x_canon[l, k] = np.array(_encode(v, m), dtype=np.int64) @ reduction[:m]
+            blk = chi_int[l].get(t_i)
+            if blk is not None:
+                x_canon[l, k] = blk[y_i] @ reduction[:m]
 
     design = x_canon.reshape(n, -1).T.astype(np.float64)  # (piv*phim, n)
     rhs = t_canon.transpose(0, 3, 1, 2).reshape(len(pivots) * phim, n * n)

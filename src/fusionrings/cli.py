@@ -222,7 +222,15 @@ def _cmd_paper_suite(args, command):
     return 0 if all(r.passed for r in results) else 4
 
 
+_PARSER = None  # built by the first build_parser() call
+
+
 def build_parser():
+    """The command-line parser, built once: parsing leaves no state in it,
+    so every main() call shares it."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     parser = argparse.ArgumentParser(
         prog="fusionrings",
         description="Exact workbench for fusion rings and modular data from finite groups.",
@@ -283,6 +291,7 @@ def build_parser():
     p = sub.add_parser("paper-suite", help="run the bundled acceptance computations")
     p.set_defaults(fn=_cmd_paper_suite)
 
+    _PARSER = parser
     return parser
 
 

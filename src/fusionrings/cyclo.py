@@ -149,6 +149,28 @@ def _subfield_solver(n, m):
     return row, aug
 
 
+def _encode(values, m):
+    """Common denominator and integer coefficient rows of values over zeta_m.
+
+    Returns (scale, rows): scale is the least common denominator of every
+    coefficient, and rows[i] lists the coefficients of scale * values[i] on
+    zeta_m^0 .. zeta_m^(m-1), not yet reduced modulo Phi_m (multiply by
+    ``_monomial_reduction(m)[:m]`` for canonical coordinates).
+    """
+    values = list(values)
+    scale = lcm(*(c.denominator for v in values for c in v.coeffs.values()))
+    rows = []
+    for v in values:
+        if m % v.conductor:
+            raise ValueError(f"value at conductor {v.conductor} outside Q(zeta_{m})")
+        lift = m // v.conductor
+        row = [0] * m
+        for e, c in v.coeffs.items():
+            row[e * lift] = c.numerator * (scale // c.denominator)
+        rows.append(row)
+    return scale, rows
+
+
 def _reduce_raw(n, raw):
     """Reduce {exponent: Fraction} with exponents < 2n-1 to canonical coeffs."""
     red = _monomial_reduction(n)
@@ -430,8 +452,18 @@ def to_document(a):
 
 
 def from_document(doc):
+    """Inverse of :func:`to_document`; raises ValueError on a malformed form."""
+    conductor = doc.get("conductor") if isinstance(doc, dict) else None
+    pairs = doc.get("coeffs") if isinstance(doc, dict) else None
+    if type(conductor) is not int or conductor < 1 or not isinstance(pairs, list):
+        raise ValueError(f"malformed cyclotomic {doc!r}")
     coeffs = {}
-    for e, s in doc["coeffs"]:
-        num, den = s.split("/")
-        coeffs[int(e)] = Fraction(int(num), int(den))
-    return Cyclotomic(int(doc["conductor"]), coeffs)
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int
+                and isinstance(pair[1], str) and pair[1].count("/") == 1):
+            raise ValueError(f"malformed cyclotomic coefficient {pair!r}")
+        num, den = pair[1].split("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {pair[1]!r}")
+        coeffs[pair[0]] = Fraction(int(num), int(den))
+    return Cyclotomic(conductor, coeffs)

@@ -161,7 +161,42 @@ def _degree_of_cycle_strings(strings):
     return max(points) if points else 1
 
 
+def _check_modular_payload(payload):
+    """Raise ValueError unless the payload has the keys, types and lengths of
+    a modulardata document (entries of s and t are checked as they parse)."""
+    if not isinstance(payload, dict):
+        raise ValueError("modulardata payload must be an object")
+    group = payload.get("group")
+    if group is not None and not (
+        isinstance(group, dict)
+        and type(group.get("degree")) is int
+        and type(group.get("order")) is int
+        and isinstance(group.get("generators"), list)
+        and all(isinstance(g, str) for g in group["generators"])
+    ):
+        raise ValueError("modulardata group must be null or a group payload")
+    for key, kind in (("labels", list), ("dims", list), ("s", list), ("t", list), ("global_dim", int)):
+        if not isinstance(payload.get(key), kind) or isinstance(payload[key], bool):
+            raise ValueError(f"modulardata payload needs {key!r} as a {kind.__name__}")
+    labels, dims, s, t = payload["labels"], payload["dims"], payload["s"], payload["t"]
+    n = len(labels)
+    if n == 0:
+        raise ValueError("modulardata payload has no labels")
+    if not all(
+        isinstance(l, list) and len(l) == 2 and isinstance(l[0], str) and type(l[1]) is int
+        for l in labels
+    ):
+        raise ValueError("modulardata labels must be [class representative, row] pairs")
+    if not all(type(d) is int for d in dims):
+        raise ValueError("modulardata dims must be integers")
+    if len(dims) != n or len(t) != n or len(s) != n:
+        raise ValueError(f"modulardata dims, s and t need one entry per label ({n})")
+    if not all(isinstance(row, list) and len(row) == n for row in s):
+        raise ValueError(f"every row of the modulardata s needs {n} entries")
+
+
 def modular_from_payload(payload):
+    _check_modular_payload(payload)
     group = None
     if payload.get("group") is not None:
         group = group_from_payload(payload["group"])

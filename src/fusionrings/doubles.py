@@ -3,9 +3,26 @@
 Simple objects are (conjugacy class, centralizer irreducible) pairs; the
 S-matrix is assembled from exact centralizer character values with a fixed
 conjugation orientation and then certified against the modular-data
-invariants (symmetry, dimension row, S^2 = dim * charge conjugation).  The
-structure constants come out of the standard non-degenerate S-matrix sum and
-are certified to be non-negative integers.
+invariants (symmetry, dimension row, S^2 = dim * charge conjugation).
+
+S is encoded as an integer coefficient array A = L*S of shape
+(n, n, phi(m)): the coordinates of each entry in the power basis of
+Z[zeta_m], where m is the lcm of the entry conductors and L one common
+denominator (1 for genuine doubles).  S^2 = D*C is checked as one integer
+matmul on A.
+
+The fusion tensor is the Verlinde sum
+N[x][y][z] = sum_t S[x][t] S[y][t] S[z*][t] / (d_t D).  It is computed in
+F_p, for the least prime p = 1 (mod m) above 2 max(d)^2 that divides none
+of L, D and the d_t, with zeta_m sent to a primitive m-th root of unity mod
+p: one batched matmul, whose residues are lifted symmetrically.  The lift is
+then certified exactly on integer arrays: L d_t (N_x A)[y][t] =
+A[x][t] A[y][t] for all x, y, t.  S is invertible (S^2 = D*C), so this
+identity holds exactly when N is the Verlinde value, and no answer rests on
+the prime.  The certified tensor is kept on the modular data and serves the
+Verlinde ring, the closures, the projective centralizers and the
+S-equivalence check.  Every matmul runs in the dtype that an explicit bound
+on its sums allows (``rings._exact_dtype``).
 """
 
 from __future__ import annotations
@@ -14,12 +31,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from . import rings
-from .chartab import character_table
-from .cyclo import Cyclotomic
+from .chartab import _primitive_root, character_table
+from .cyclo import Cyclotomic, _encode, _is_prime, _monomial_reduction
 from .errors import InvariantFailure, NonIntegralMultiplicity, SearchBudgetExceeded, SingularS
 
 TANNAKIAN = "TANNAKIAN"
@@ -47,7 +66,7 @@ class ModularData:
     dims: tuple
     global_dim: int
     charge_conjugation: tuple
-    _fusion_cache: dict = field(default_factory=dict, repr=False)
+    _fusion: np.ndarray = field(default=None, repr=False, compare=False)  # certified N, built on first use
 
     @property
     def size(self):
@@ -150,21 +169,31 @@ def _certify_modular(md):
     for x in range(n):
         if s[0][x] != Cyclotomic.rational(dims[x]):
             raise InvariantFailure("dimension_row", f"S[0][{x}] != dim")
+        if dims[x] == 0:
+            raise InvariantFailure("dimension_row", f"dim {x} is zero")
         for y in range(x, n):
             if s[x][y] != s[y][x]:
                 raise InvariantFailure("symmetry", f"S[{x}][{y}]")
-    # S.S = global_dim * permutation of order <= 2
+    # S.S = global_dim * permutation of order <= 2, as L^2 S.S on A
+    scale, m, A = _s_coordinates(md)
+    phi = A.shape[2]
+    top = int(np.abs(A).max())
+    table = _product_table(m)
+    dt = rings._exact_dtype(n * phi * phi * top * top * int(np.abs(table).max()))
+    A = A.astype(dt)
+    left = np.tensordot(A, table.astype(dt), axes=(2, 0))  # [x, k, b, c]
+    square = (
+        left.transpose(0, 3, 1, 2).reshape(n * phi, n * phi)
+        @ A.transpose(0, 2, 1).reshape(n * phi, n)
+    ).reshape(n, phi, n).transpose(0, 2, 1)  # [x, y, c]
+    target = scale * scale * md.global_dim
+    nonzero = (square != 0).any(axis=2)
     conj = [None] * n
     for x in range(n):
-        hits = []
-        for y in range(n):
-            acc = Cyclotomic.zero()
-            for k in range(n):
-                acc = acc + s[x][k] * s[k][y]
-            if not acc.is_zero():
-                if acc != Cyclotomic.rational(md.global_dim):
-                    raise InvariantFailure("s_squared", f"entry ({x},{y}) = {acc}")
-                hits.append(y)
+        hits = np.flatnonzero(nonzero[x]).tolist()
+        for y in hits:
+            if int(square[x, y, 0]) != target or (square[x, y, 1:] != 0).any():
+                raise InvariantFailure("s_squared", f"entry ({x},{y}) is neither 0 nor the global dimension")
         if len(hits) != 1:
             raise InvariantFailure("s_squared", f"row {x} is not a permutation row")
         conj[x] = hits[0]
@@ -176,39 +205,102 @@ def _certify_modular(md):
     return tuple(conj)
 
 
-def _verlinde_entry(md, x, y, z):
-    key = (x, y, z)
-    cached = md._fusion_cache.get(key)
-    if cached is not None:
-        return cached
-    zdual = md.charge_conjugation[z]
-    acc = Cyclotomic.zero()
-    for t in range(md.size):
-        acc = acc + md.S[x][t] * md.S[y][t] * md.S[zdual][t] / md.dims[t]
-    val = acc / md.global_dim
-    q = val.rational_part()
-    if q is None or q.denominator != 1 or q < 0:
-        raise NonIntegralMultiplicity(f"N[{x}][{y}][{z}] = {val}")
-    out = int(q)
-    md._fusion_cache[key] = out
-    return out
+@lru_cache(maxsize=None)
+def _product_table(m):
+    """table[a, b] = canonical Z[zeta_m] coordinates of zeta_m^(a + b), a, b < phi(m)."""
+    red = np.array(_monomial_reduction(m), dtype=np.int64)
+    phi = red.shape[1]
+    table = red[np.add.outer(np.arange(phi), np.arange(phi))]
+    table.setflags(write=False)
+    return table
+
+
+def _s_coordinates(md):
+    """(L, m, A): A[x, y] holds the canonical Z[zeta_m] coordinates of L * S[x][y].
+
+    A is int64 when its encoding fits, else an array of Python ints.
+    """
+    n = md.size
+    entries = [v for row in md.S for v in row]
+    m = math.lcm(*(v.conductor for v in entries))
+    scale, rows = _encode(entries, m)
+    red = np.array(_monomial_reduction(m)[:m], dtype=np.int64)
+    top = max(map(abs, chain.from_iterable(rows))) * m * int(np.abs(red).max())
+    dt = np.int64 if top < 2**63 else object
+    return scale, m, (np.array(rows, dtype=dt) @ red.astype(dt)).reshape(n, n, -1)
+
+
+def _verlinde_prime(md, scale, m):
+    """Least prime p = 1 (mod m) above 2 max(d)^2 dividing none of L, D and the d_t.
+
+    With positive dimensions, non-negative multiplicities lie in [0, max(d)^2]
+    (sum_z N[x][y][z] d_z = d_x d_y), so their symmetric residues mod p are
+    the multiplicities themselves; any other lift fails the exact certificate.
+    """
+    bound = 2 * max(d * d for d in md.dims)
+    denominators = scale * md.global_dim * math.prod(md.dims)
+    p = bound // m * m + 1
+    while p <= bound or not _is_prime(p) or denominators % p == 0:
+        p += m
+    return p
+
+
+def _verlinde_mod_p(md, scale, m, A, p):
+    """The Verlinde tensor modulo p, lifted from symmetric residues."""
+    n, phi = md.size, A.shape[2]
+    dt = rings._exact_dtype(max(n, phi) * (p - 1) ** 2)
+    omega = pow(_primitive_root(p), (p - 1) // m, p)
+    powers = np.array([pow(omega, k, p) for k in range(phi)], dtype=dt)
+    s = (A % p).astype(dt) @ powers % p  # L * S mod p
+    weights = [pow(scale**3 * d * md.global_dim, -1, p) for d in md.dims]
+    # right[t, z] = S[z*][t] / (d_t D), the inverse of S scaled by 1 / d_t
+    right = s[list(md.charge_conjugation)].T * np.array(weights, dtype=dt)[:, None] % p
+    resid = s @ (s[:, :, None] * right[None] % p) % p  # [x, y, z], one matmul per x
+    lifted = np.where(resid > p // 2, resid - p, resid)
+    return lifted if dt is object else lifted.astype(np.int64)
+
+
+def _certify_fusion(md, scale, m, A, N):
+    """Certify exactly that N is the Verlinde tensor: L d_t (N_x A)[y][t] = A[x][t] A[y][t]."""
+    if (N < 0).any():
+        x, y, z = np.argwhere(N < 0)[0].tolist()
+        raise NonIntegralMultiplicity(f"N[{x}][{y}][{z}] = {N[x, y, z]} is negative")
+    n, phi = md.size, A.shape[2]
+    top = int(np.abs(A).max())
+    table = _product_table(m)
+    lhs_bound = scale * max(abs(d) for d in md.dims) * n * int(N.max()) * top
+    rhs_bound = phi * phi * top * top * int(np.abs(table).max())
+    dt = rings._exact_dtype(max(lhs_bound, rhs_bound))
+    A = A.astype(dt)
+    weights = np.array([scale * d for d in md.dims], dtype=dt)  # L d_t
+    lhs = (N.astype(dt).reshape(n * n, n) @ A.reshape(n, n * phi)).reshape(n, n, n, phi)
+    lhs = lhs * weights[:, None]
+    left = np.tensordot(A, table.astype(dt), axes=(2, 0))  # [x, t, b, c]
+    rhs = np.matmul(A.transpose(1, 0, 2), left.transpose(1, 2, 0, 3).reshape(n, phi, n * phi))
+    rhs = rhs.reshape(n, n, n, phi).transpose(2, 1, 0, 3)  # [x, y, t, c]
+    if not np.array_equal(lhs, rhs):
+        x, y = np.argwhere((lhs != rhs).any(axis=(2, 3)))[0].tolist()
+        raise NonIntegralMultiplicity(f"row N[{x}][{y}] fails the exact Verlinde certificate")
+
+
+def _fusion_tensor(md):
+    """The Verlinde tensor N[x, y, z] of md, computed in F_p and certified exactly."""
+    if md._fusion is None:
+        scale, m, A = _s_coordinates(md)
+        N = _verlinde_mod_p(md, scale, m, A, _verlinde_prime(md, scale, m))
+        _certify_fusion(md, scale, m, A, N)
+        N.setflags(write=False)
+        md._fusion = N
+    return md._fusion
 
 
 def verlinde_fusion(md):
     """Fusion ring recovered from the S-matrix; certified non-negative integral."""
-    n = md.size
     # non-degeneracy witness: charge conjugation exists (certified at build)
     if not md.charge_conjugation:
         raise SingularS("modular data carries no charge conjugation")
-    tensor = np.zeros((n, n, n), dtype=np.int64)
-    for x in range(n):
-        for y in range(x, n):
-            for z in range(n):
-                v = _verlinde_entry(md, x, y, z)
-                tensor[x, y, z] = v
-                tensor[y, x, z] = v
     ring = rings.FusionRing(
-        tuple(l.name() for l in md.labels), tensor, md.charge_conjugation
+        tuple(l.name() for l in md.labels), _fusion_tensor(md), md.charge_conjugation
     )
     rings.validate(ring)
     got = rings.fp_dims(ring)
@@ -219,20 +311,15 @@ def verlinde_fusion(md):
 
 def _closure(md, subset):
     """Close a label subset under unit, duality and fusion supports."""
-    current = set(subset) | {0}
-    current |= {md.charge_conjugation[x] for x in current}
+    support = _fusion_tensor(md) > 0
+    dual = np.array(md.charge_conjugation)
+    current = np.zeros(md.size, dtype=bool)
+    current[[0, *subset]] = True
     while True:
-        new = set()
-        cur = sorted(current)
-        for x in cur:
-            for y in cur:
-                for z in range(md.size):
-                    if z not in current and _verlinde_entry(md, x, y, z) > 0:
-                        new.add(z)
-        if not new:
-            return tuple(sorted(current))
-        current |= new
-        current |= {md.charge_conjugation[x] for x in new}
+        grown = current | current[dual] | support[np.ix_(current, current)].any(axis=(0, 1))
+        if (grown == current).all():
+            return tuple(np.flatnonzero(current).tolist())
+        current = grown
 
 
 def _centralizes(md, x, y):
@@ -265,13 +352,9 @@ def is_tannakian_subset(md, subset):
 
 def projective_centralizer(md, subset):
     """Labels centralizing every simple in the support of y (x) y* over the subset."""
-    closed = _closure(md, subset)
-    targets = set()
-    for y in closed:
-        ydual = md.charge_conjugation[y]
-        for z in range(md.size):
-            if _verlinde_entry(md, y, ydual, z) > 0:
-                targets.add(z)
+    closed = list(_closure(md, subset))
+    duals = [md.charge_conjugation[y] for y in closed]
+    targets = np.flatnonzero((_fusion_tensor(md)[closed, duals] > 0).any(axis=0)).tolist()
     return tuple(
         x for x in range(md.size) if all(_centralizes(md, x, z) for z in targets)
     )
@@ -346,9 +429,6 @@ def s_equivalence(md1, md2, budget=None):
             if md1.S[x][y] != md2.S[f[x]][f[y]]:
                 raise AssertionError("witness failed full S verification (bug)")
     # any S-equivalence is a Grothendieck equivalence of the recovered rings
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if _verlinde_entry(md1, x, y, z) != _verlinde_entry(md2, f[x], f[y], f[z]):
-                    raise AssertionError("S-equivalence failed fusion re-verification (bug)")
+    if not np.array_equal(_fusion_tensor(md1), _fusion_tensor(md2)[np.ix_(f, f, f)]):
+        raise AssertionError("S-equivalence failed fusion re-verification (bug)")
     return f

@@ -2,8 +2,9 @@
 subring lattice, gradings, nilpotency.
 
 The structure tensor is held as a write-locked numpy int array; all axiom
-checks are exhaustive.  Large tensor contractions go through float64 matmuls,
-which are exact for the integer ranges this library meets.
+checks are exhaustive.  Large tensor contractions go through float64 matmuls
+only while an explicit bound keeps every sum below 2**53, where float64 is
+exact; past it they run on int64, and past 2**63 on Python integers.
 """
 
 from __future__ import annotations
@@ -118,6 +119,16 @@ class GradingDecomposition:
         return out
 
 
+def _exact_dtype(bound):
+    """The cheapest dtype whose matmuls stay exact while every partial sum is
+    at most bound in absolute value: float64 (BLAS), int64, or Python ints."""
+    if bound < 2**53:
+        return np.float64
+    if bound < 2**63:
+        return np.int64
+    return object
+
+
 def validate(ring):
     """Check every based-ring axiom exhaustively; raise AxiomViolation on failure."""
     n = ring.size
@@ -144,13 +155,14 @@ def validate(ring):
     perm = np.array(dual)
     if not np.array_equal(N, N[np.ix_(perm, perm, perm)].transpose(1, 0, 2)):
         raise AxiomViolation("transpose_symmetry")
-    # associativity, chunked over the first index; float64 matmul is exact here
-    Nf = N.astype(np.float64)
-    flat_r = Nf.reshape(n, n * n)
-    flat_l = Nf.reshape(n * n, n)
+    # associativity, chunked over the first index; entries of both sides are
+    # sums of n products of two entries of N
+    exact = N.astype(_exact_dtype(int(N.max()) ** 2 * n))
+    flat_r = exact.reshape(n, n * n)
+    flat_l = exact.reshape(n * n, n)
     for i in range(n):
-        lhs = (Nf[i] @ flat_r).reshape(n, n, n)
-        rhs = (flat_l @ Nf[i]).reshape(n, n, n)
+        lhs = (exact[i] @ flat_r).reshape(n, n, n)
+        rhs = (flat_l @ exact[i]).reshape(n, n, n)
         if not np.array_equal(lhs, rhs):
             bad = np.argwhere(lhs != rhs)[0]
             raise AxiomViolation("associativity", (i, int(bad[0]), int(bad[1]), int(bad[2])))

@@ -236,3 +236,68 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert docs.loads(proc.stdout)["payload"]["order"] == 5
+
+
+def _break_missing_s(p):
+    del p["s"]
+
+
+def _break_ragged_s(p):
+    p["s"][3] = p["s"][3] + p["s"][3][:2]
+
+
+def _break_short_row(p):
+    p["s"][5] = p["s"][5][:-1]
+
+
+def _break_short_s(p):
+    p["s"] = p["s"][:-1]
+
+
+def _break_missing_t(p):
+    del p["t"]
+
+
+def _break_bad_entry(p):
+    p["s"][1][1] = {"conductor": 0, "coeffs": [[0, "1/0"]]}
+
+
+@pytest.mark.parametrize(
+    "breaker",
+    [_break_missing_s, _break_ragged_s, _break_short_row, _break_short_s, _break_missing_t, _break_bad_entry],
+)
+def test_cli_malformed_modular_documents_are_usage_errors(tmp_path, breaker):
+    _, text = run_cli(["double", "S3"])
+    good = tmp_path / "good.json"
+    good.write_text(text)
+    doc = docs.loads(text)
+    breaker(doc["payload"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(docs.dumps(doc))
+    assert run_cli(["verlinde", str(bad)])[0] == 2
+    assert run_cli(["sequiv", str(bad), str(good)])[0] == 2
+    assert run_cli(["sequiv", str(good), str(bad)])[0] == 2
+
+
+def test_cli_parser_is_built_once_and_each_call_parses_afresh(tmp_path):
+    from fusionrings.cli import build_parser
+
+    assert build_parser() is build_parser()
+    _, pair_doc = run_cli(["pair", "A5", "C5", "A4"])
+    pair = tmp_path / "pair.json"
+    pair.write_text(pair_doc)
+
+    def bicross(*flags):
+        code, out = run_cli(["bicross", str(pair), *flags])
+        assert code == 0
+        doc = docs.loads(out)
+        return doc["kind"], set(doc["payload"])
+
+    assert bicross("--ring")[0] == "fusionring"
+    default = bicross()
+    assert default[0] == "matchedpair" and "type" in default[1]
+    assert bicross("--type") == default
+    kind, keys = bicross("--dual-invertibles")
+    assert "dual_invertibles" in keys and "type" not in keys
+    assert run_cli(["bicross", str(pair), "--ring", "--type"])[0] == 2
+    assert bicross() == default

@@ -216,3 +216,121 @@ def test_twisted_doubles_rejected():
 
     with pytest.raises(ValueError):
         double_modular_data(symmetric_group(3), twist="w")
+
+
+# -- the certified modular Verlinde kernel against independent checks
+
+
+def verlinde_oracle(md):
+    """Reference: the per-entry exact Verlinde sum
+    N[x][y][z] = sum_t S[x][t] S[y][t] S[z*][t] / (d_t D) in Cyclotomic
+    arithmetic, certified non-negative integral entry by entry.
+
+    Each entry is evaluated once per orbit of its symmetry in (x, y, z*), and
+    its terms are multiplied and added as exponent dictionaries over zeta_m
+    with one Cyclotomic canonicalization per entry (per-term Cyclotomic
+    operations make D(C6) alone about ten times slower)."""
+    import itertools
+    import math
+
+    import numpy as np
+
+    n, s, conj, dims = md.size, md.S, md.charge_conjugation, md.dims
+    m = math.lcm(*(v.conductor for row in s for v in row))
+    denom = md.global_dim * math.lcm(*dims)
+
+    def integral(value):  # exponent -> int over zeta_m; S of a double is integral
+        raw = value._lift_raw(m)
+        assert all(c.denominator == 1 for c in raw.values())
+        return {e: c.numerator for e, c in raw.items()}
+
+    lifted = [[integral(v) for v in row] for row in s]
+    out = np.zeros((n, n, n), dtype=np.int64)
+    for x in range(n):
+        for y in range(x, n):
+            # w[t] = S[x][t] S[y][t] denom / (d_t D)
+            w = [integral(s[x][t] * s[y][t] * (denom // (dims[t] * md.global_dim))) for t in range(n)]
+            for v in range(y, n):
+                raw = {}
+                for t in range(n):
+                    for e1, c1 in w[t].items():
+                        for e2, c2 in lifted[v][t].items():
+                            raw[e1 + e2] = raw.get(e1 + e2, 0) + c1 * c2
+                q = (Cyclotomic(m, raw) / denom).rational_part()
+                assert q is not None and q.denominator == 1 and q >= 0
+                for a, b, c in itertools.permutations((x, y, v)):
+                    out[a, b, conj[c]] = int(q)
+    return out
+
+
+def test_fusion_tensor_matches_the_cyclotomic_verlinde_sum():
+    import numpy as np
+
+    from fusionrings.doubles import _fusion_tensor
+    from fusionrings.perms import dihedral_group
+
+    for g in [cyclic_group(2), symmetric_group(3), alternating_group(4), cyclic_group(6), dihedral_group(4)]:
+        md = double_modular_data(g)
+        assert np.array_equal(_fusion_tensor(md), verlinde_oracle(md))
+
+
+def test_exact_certificate_rejects_what_the_prime_cannot_see():
+    import pytest
+
+    from fusionrings.doubles import (
+        _certify_fusion,
+        _s_coordinates,
+        _verlinde_mod_p,
+        _verlinde_prime,
+    )
+    from fusionrings.errors import NonIntegralMultiplicity
+
+    md = double_modular_data(symmetric_group(3))
+    scale, m, a = _s_coordinates(md)
+    p = _verlinde_prime(md, scale, m)
+    good = _verlinde_mod_p(md, scale, m, a, p)
+    _certify_fusion(md, scale, m, a, good)
+    off_by_one = good.copy()
+    off_by_one[3, 4, 5] += 1
+    shifted = good.copy()
+    shifted[3, 4, 5] += p  # the same residue mod p
+    for bad in (off_by_one, shifted):
+        with pytest.raises(NonIntegralMultiplicity):
+            _certify_fusion(md, scale, m, a, bad)
+
+
+def test_corrupted_s_fails_the_s_squared_certificate():
+    import dataclasses
+
+    import pytest
+
+    from fusionrings.doubles import _certify_modular
+    from fusionrings.errors import InvariantFailure
+
+    md = double_modular_data(symmetric_group(3))
+    s = [list(row) for row in md.S]
+    s[2][5] = s[5][2] = s[2][5] + 1  # still symmetric, dimension row untouched
+    bad = dataclasses.replace(md, S=tuple(tuple(row) for row in s))
+    with pytest.raises(InvariantFailure) as err:
+        _certify_modular(bad)
+    assert err.value.name == "s_squared"
+
+
+def _conjugated(group, cycle):
+    """The same group rebuilt from a custom: spec of generators conjugated by a cycle."""
+    from fusionrings.cli import parse_group_spec
+    from fusionrings.perms import Permutation
+
+    s = Permutation.from_cycles(group.degree, [cycle])
+    gens = [s.inverse() * g * s for g in group.generators]
+    return parse_group_spec(f"custom:{group.degree}:" + "|".join(g.cycle_string() for g in gens))
+
+
+def test_larger_doubles_verlinde_and_sequiv():
+    for g in [symmetric_group(4), alternating_group(5), symmetric_group(5)]:
+        md = double_modular_data(g)
+        ring = verlinde_fusion(md)  # rings.validate and the fp_dims check run inside
+        assert rings.fp_dims(ring).total == md.global_dim
+        other = double_modular_data(_conjugated(g, (0, 2, 3)))
+        f = s_equivalence(md, other)
+        assert f is not None and f[0] == 0

@@ -187,3 +187,25 @@ def test_non_integral_dims_certified_numerically():
     assert rings.invertibles(fib).order == 1
     with pytest.raises(ValueError):
         rings.type_signature(fib)
+
+
+def _big_commutative_ring(b, a_offset):
+    """Basis 1, x, y (self-dual) with x.x = 1 + a x + b y, x.y = b x + y,
+    y.y = 1 + x + d y for d = b - 1: associative exactly when a = b(b - d) = b.
+    Associativity sums reach about b^2, beyond 2**53 for b >= 2**27."""
+    a, d = b + a_offset, b - 1
+    tensor = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [1, a, b], [0, b, 1]],
+        [[0, 0, 1], [0, b, 1], [1, 1, d]],
+    ]
+    return rings.FusionRing(("1", "x", "y"), tensor, (0, 1, 2))
+
+
+@pytest.mark.parametrize("b", [2**28, 2**40])  # int64 sums, then Python-int sums
+def test_validate_is_exact_past_float64(b):
+    rings.validate(_big_commutative_ring(b, 0))
+    # off by one in a single entry: float64 rounds both sides to the same value
+    with pytest.raises(AxiomViolation) as err:
+        rings.validate(_big_commutative_ring(b, 1))
+    assert err.value.axiom == "associativity"
