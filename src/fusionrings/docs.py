@@ -12,6 +12,7 @@ import json
 
 from . import cyclo, rings
 from .doubles import DoubleLabel, ModularData, _certify_modular
+from .errors import AxiomViolation
 from .perms import PermGroup, Permutation
 
 SCHEMA_VERSION = "1"
@@ -106,14 +107,33 @@ def ring_payload(ring):
     return payload
 
 
-def ring_from_payload(payload):
-    labels = tuple(payload["labels"])
+def _check_ring_payload(payload):
+    """Raise ValueError unless the payload has the keys, types and lengths of
+    a fusionring document."""
+    if not isinstance(payload, dict):
+        raise ValueError("fusionring payload must be an object")
+    for key in ("labels", "dual", "tensor"):
+        if not isinstance(payload.get(key), list):
+            raise ValueError(f"fusionring payload needs {key!r} as a list")
+    labels, dual, tensor = payload["labels"], payload["dual"], payload["tensor"]
     n = len(labels)
-    tensor = payload["tensor"]
-    if len(tensor) != n**3:
-        raise ValueError("tensor length mismatch")
-    ring = rings.FusionRing(labels, tensor, tuple(payload["dual"]))
-    rings.validate(ring)
+    if n == 0 or not all(isinstance(l, str) for l in labels):
+        raise ValueError("fusionring labels must be a non-empty list of strings")
+    if len(dual) != n or len(tensor) != n**3:
+        raise ValueError(f"fusionring dual needs {n} entries and tensor {n**3}")
+    if not set(map(type, dual)) | set(map(type, tensor)) <= {int}:  # no bools, no floats
+        raise ValueError("fusionring dual and tensor entries must be integers")
+
+
+def ring_from_payload(payload):
+    """The fusion ring of an input document; a malformed document or a broken
+    axiom raises ValueError."""
+    _check_ring_payload(payload)
+    try:
+        ring = rings.FusionRing(payload["labels"], payload["tensor"], payload["dual"])
+        rings.validate(ring)
+    except (AxiomViolation, OverflowError) as exc:
+        raise ValueError(f"fusionring document: {exc}") from exc
     return ring
 
 

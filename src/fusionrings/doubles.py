@@ -20,8 +20,10 @@ then certified exactly on integer arrays: L d_t (N_x A)[y][t] =
 A[x][t] A[y][t] for all x, y, t.  S is invertible (S^2 = D*C), so this
 identity holds exactly when N is the Verlinde value, and no answer rests on
 the prime.  The certified tensor is kept on the modular data and serves the
-Verlinde ring, the closures, the projective centralizers and the
-S-equivalence check.  Every matmul runs in the dtype that an explicit bound
+Verlinde ring, the closures (``rings``' subring closure), the projective
+centralizers and the S-equivalence check.  The S-equivalence search is the
+witness search of ``equivalence``, run on S with its entries encoded as
+integer colours.  Every matmul runs in the dtype that an explicit bound
 on its sums allows (``rings._exact_dtype``).
 """
 
@@ -39,7 +41,8 @@ import numpy as np
 from . import rings
 from .chartab import _primitive_root, character_table
 from .cyclo import Cyclotomic, _encode, _is_prime, _monomial_reduction
-from .errors import InvariantFailure, NonIntegralMultiplicity, SearchBudgetExceeded, SingularS
+from .equivalence import _node_budget, _search
+from .errors import InvariantFailure, NonIntegralMultiplicity, SingularS
 
 TANNAKIAN = "TANNAKIAN"
 SUPER_TANNAKIAN_ONLY = "SUPER_TANNAKIAN_ONLY"
@@ -309,19 +312,6 @@ def verlinde_fusion(md):
     return ring
 
 
-def _closure(md, subset):
-    """Close a label subset under unit, duality and fusion supports."""
-    support = _fusion_tensor(md) > 0
-    dual = np.array(md.charge_conjugation)
-    current = np.zeros(md.size, dtype=bool)
-    current[[0, *subset]] = True
-    while True:
-        grown = current | current[dual] | support[np.ix_(current, current)].any(axis=(0, 1))
-        if (grown == current).all():
-            return tuple(np.flatnonzero(current).tolist())
-        current = grown
-
-
 def _centralizes(md, x, y):
     return md.S[x][y] == Cyclotomic.rational(md.dims[x] * md.dims[y])
 
@@ -329,7 +319,7 @@ def _centralizes(md, x, y):
 def centralizer_subset(md, subset):
     """Labels whose double braiding with everything in the closed subset is
     trivial, detected by S[x][y] = d_x d_y."""
-    closed = _closure(md, subset)
+    closed = rings._generated(_fusion_tensor(md), md.charge_conjugation, subset)
     return tuple(
         x for x in range(md.size) if all(_centralizes(md, x, y) for y in closed)
     )
@@ -341,7 +331,7 @@ def mueger_center(md):
 
 def is_tannakian_subset(md, subset):
     """TANNAKIAN / SUPER_TANNAKIAN_ONLY / NOT_SYMMETRIC for a based subset."""
-    closed = _closure(md, subset)
+    closed = rings._generated(_fusion_tensor(md), md.charge_conjugation, subset)
     cent = set(centralizer_subset(md, closed))
     if not set(closed) <= cent:
         return NOT_SYMMETRIC
@@ -352,7 +342,7 @@ def is_tannakian_subset(md, subset):
 
 def projective_centralizer(md, subset):
     """Labels centralizing every simple in the support of y (x) y* over the subset."""
-    closed = list(_closure(md, subset))
+    closed = list(rings._generated(_fusion_tensor(md), md.charge_conjugation, subset))
     duals = [md.charge_conjugation[y] for y in closed]
     targets = np.flatnonzero((_fusion_tensor(md)[closed, duals] > 0).any(axis=0)).tolist()
     return tuple(
@@ -373,61 +363,26 @@ def pointed_labels(md):
 
 
 def s_equivalence(md1, md2, budget=None):
-    """Unit-preserving bijection matching the S-matrices entrywise, or None."""
-    from .equivalence import _node_budget
+    """Unit-preserving bijection matching the S-matrices entrywise, or None.
 
-    budget = _node_budget(budget)
+    S entries become integer colours, one colour per distinct value across
+    both matrices, and the witness search of ``equivalence`` runs on them.
+    """
     n = md1.size
     if n != md2.size or md1.global_dim != md2.global_dim:
         return None
-
-    def profile(md, x):
-        return (
-            md.dims[x],
-            tuple(sorted(v.sort_key() for v in md.S[x])),
-        )
-
-    prof1 = [profile(md1, x) for x in range(n)]
-    prof2 = [profile(md2, x) for x in range(n)]
-    cands = [tuple(j for j in range(n) if prof2[j] == prof1[i]) for i in range(n)]
-    if any(not c for c in cands):
+    colours = {}
+    c1, c2 = (
+        np.array([[colours.setdefault(v, len(colours)) for v in row] for row in md.S])
+        for md in (md1, md2)
+    )
+    prof1, prof2 = (
+        [(md.dims[x], tuple(sorted(c[x].tolist()))) for x in range(n)]
+        for md, c in ((md1, c1), (md2, c2))
+    )
+    f = _search(c1, c2, prof1, prof2, _node_budget(budget))
+    if f is None:
         return None
-    order = [0] + sorted(range(1, n), key=lambda i: (len(cands[i]), i))
-    assign = [-1] * n
-    used = [False] * n
-    nodes = 0
-
-    def dfs(depth):
-        nonlocal nodes
-        if depth == n:
-            return True
-        i = order[depth]
-        for j in cands[i]:
-            if used[j]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"budget {budget} hit")
-            ok = all(
-                md1.S[i][a] == md2.S[j][assign[a]] for a in order[:depth]
-            ) and md1.S[i][i] == md2.S[j][j]
-            if not ok:
-                continue
-            assign[i] = j
-            used[j] = True
-            if dfs(depth + 1):
-                return True
-            assign[i] = -1
-            used[j] = False
-        return False
-
-    if not dfs(0):
-        return None
-    f = tuple(assign)
-    for x in range(n):
-        for y in range(n):
-            if md1.S[x][y] != md2.S[f[x]][f[y]]:
-                raise AssertionError("witness failed full S verification (bug)")
     # any S-equivalence is a Grothendieck equivalence of the recovered rings
     if not np.array_equal(_fusion_tensor(md1), _fusion_tensor(md2)[np.ix_(f, f, f)]):
         raise AssertionError("S-equivalence failed fusion re-verification (bug)")

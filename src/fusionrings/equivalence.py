@@ -1,5 +1,7 @@
 """Grothendieck equivalence of based rings: invariant fingerprints, pruned
-backtracking search for a witness bijection, and consequence verification."""
+backtracking search for a witness bijection, and consequence verification.
+The search runs on int arrays of any arity: ``doubles.s_equivalence`` runs it
+on S-matrices encoded as integer colours."""
 
 from __future__ import annotations
 
@@ -27,21 +29,26 @@ class EquivalenceWitness:
     bijection: tuple  # index map, domain ring -> codomain ring
 
 
-def _element_profile(ring, dims, i):
-    row = ring.N[i]
-    return (
-        dims[i],
-        dims[ring.dual[i]],
-        ring.dual[i] == i,
-        tuple(sorted(Counter(map(int, row.flatten())).items())),
-        tuple(sorted(map(int, row.sum(axis=1)))),
-        tuple(sorted(Counter(int(ring.N[i, j, j]) for j in range(ring.size)).items())),
-    )
+def _profiles(ring):
+    """Relabeling-invariant profile of each basis element."""
+    dims, N, dual = rings.fp_dims(ring).dims, ring.N, ring.dual
+    return [
+        (
+            dims[i],
+            dims[dual[i]],
+            dual[i] == i,
+            tuple(sorted(Counter(map(int, N[i].flatten())).items())),
+            tuple(sorted(map(int, N[i].sum(axis=1)))),
+            tuple(sorted(Counter(map(int, N[i].diagonal())).items())),
+        )
+        for i in range(ring.size)
+    ]
 
 
-def fingerprint(ring):
+def fingerprint(ring, profiles=None):
     """Relabeling-invariant summary: type, element profiles, invertible-group
-    data, adjoint chain sizes, universal grading data."""
+    data, adjoint chain sizes, universal grading data.  ``profiles`` are the
+    ring's element profiles when the caller has them already."""
     dims = rings.fp_dims(ring).dims
     inv = rings.invertibles(ring)
     inv_table = [list(r) for r in inv.table]
@@ -51,11 +58,68 @@ def fingerprint(ring):
     return (
         ring.size,
         tuple(sorted(Counter(dims).items())),
-        tuple(sorted(_element_profile(ring, dims, i) for i in range(ring.size))),
+        tuple(sorted(_profiles(ring) if profiles is None else profiles)),
         (inv.order, tables.order_multiset(inv_table), tables.iso_name(inv_table)),
         tuple(len(c) for c in chain),
         (grading.order, tables.order_multiset(g_table), tuple(sorted(map(len, grading.blocks)))),
     )
+
+
+def _search(T1, T2, prof1, prof2, budget):
+    """Bijection f with T1[x, y, ...] = T2[f(x), f(y), ...] for every entry, or None.
+
+    T1 and T2 are square int arrays of one arity; x may go to y only when
+    prof1[x] == prof2[y].  Index 0 is assigned first, then the others by
+    fewest candidates.  Each candidate tried counts one node against the
+    budget before it is checked on every entry it completes, as one face
+    slice per axis.  None is returned only once the tree is exhausted; a
+    found bijection is checked on the full arrays.
+    """
+    n = len(prof1)
+    candidates = [tuple(j for j in range(n) if prof2[j] == prof1[i]) for i in range(n)]
+    if any(not c for c in candidates):
+        return None
+    order = [0] + sorted(range(1, n), key=lambda i: (len(candidates[i]), i))
+    faces = [(np.moveaxis(T1, axis, 0), np.moveaxis(T2, axis, 0)) for axis in range(T1.ndim)]
+    src, dst = [], []  # assigned indices and their images, in search order
+    used = [False] * n
+    nodes = deepest = 0
+
+    def fits(i, j):
+        a, b = np.ix_(*[src] * (T1.ndim - 1)), np.ix_(*[dst] * (T1.ndim - 1))
+        return all(np.array_equal(f1[i][a], f2[j][b]) for f1, f2 in faces)
+
+    def dfs(depth):
+        nonlocal nodes, deepest
+        if depth == n:
+            return True
+        i = order[depth]
+        src.append(i)
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(
+                    f"budget {budget} hit: {budget} nodes visited, deepest depth {deepest} of {n}"
+                )
+            dst.append(j)
+            if fits(i, j):
+                used[j] = True
+                deepest = max(deepest, depth + 1)
+                if dfs(depth + 1):
+                    return True
+                used[j] = False
+            dst.pop()
+        src.pop()
+        return False
+
+    if not dfs(0):
+        return None
+    f = tuple(j for _, j in sorted(zip(src, dst)))
+    if not np.array_equal(T1, T2[np.ix_(*[f] * T1.ndim)]):
+        raise AssertionError("witness failed full verification (bug)")
+    return f
 
 
 def find_equivalence(r1, r2, budget=None):
@@ -63,80 +127,17 @@ def find_equivalence(r1, r2, budget=None):
 
     Returns an EquivalenceWitness or None; None is only reported after the
     pruned tree is exhausted.  Raises SearchBudgetExceeded past the node cap.
+    Duals need no check of their own: only the unit's profile matches the
+    unit's, so 0 goes to 0 first, and N[i, i*, 0] = 1 then carries them along.
     """
     budget = _node_budget(budget)
-    n = r1.size
-    if n != r2.size:
+    if r1.size != r2.size:
         return None
-    if fingerprint(r1) != fingerprint(r2):
+    prof1, prof2 = _profiles(r1), _profiles(r2)
+    if fingerprint(r1, prof1) != fingerprint(r2, prof2):
         return None
-    d1 = rings.fp_dims(r1).dims
-    d2 = rings.fp_dims(r2).dims
-    prof1 = [_element_profile(r1, d1, i) for i in range(n)]
-    prof2 = [_element_profile(r2, d2, i) for i in range(n)]
-    candidates = [
-        tuple(j for j in range(n) if prof2[j] == prof1[i]) for i in range(n)
-    ]
-    if any(not c for c in candidates):
-        return None
-    order = sorted(range(1, n), key=lambda i: (len(candidates[i]), i))
-    order = [0] + order
-    assign = [-1] * n
-    used = [False] * n
-    nodes = 0
-    N1, N2 = r1.N, r2.N
-
-    def consistent(i, j, depth):
-        di = r1.dual[i]
-        if di == i and r2.dual[j] != j:
-            return False
-        if assign[di] != -1 and assign[di] != r2.dual[j]:
-            return False
-        # check every rule triple touching i against the partial assignment
-        pairs = [(order[t], assign[order[t]]) for t in range(depth)]
-        pairs.append((i, j))
-        for a, fa in pairs:
-            for b, fb in pairs:
-                if (
-                    N1[a, b, i] != N2[fa, fb, j]
-                    or N1[a, i, b] != N2[fa, j, fb]
-                    or N1[i, a, b] != N2[j, fa, fb]
-                ):
-                    return False
-        return True
-
-    def dfs(depth):
-        nonlocal nodes
-        if depth == n:
-            return True
-        i = order[depth]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"budget {budget} hit")
-            if not consistent(i, j, depth):
-                continue
-            assign[i] = j
-            used[j] = True
-            if dfs(depth + 1):
-                return True
-            assign[i] = -1
-            used[j] = False
-        return False
-
-    if not dfs(0):
-        return None
-    perm = tuple(assign)
-    # full tensor verification before returning
-    inv = np.argsort(np.array(perm))
-    if not np.array_equal(N2, N1[np.ix_(inv, inv, inv)][...]):
-        raise AssertionError("witness failed full tensor verification (bug)")
-    for i in range(n):
-        if perm[r1.dual[i]] != r2.dual[perm[i]]:
-            raise AssertionError("witness breaks duality (bug)")
-    return EquivalenceWitness(bijection=perm)
+    perm = _search(r1.N, r2.N, prof1, prof2, budget)
+    return None if perm is None else EquivalenceWitness(bijection=perm)
 
 
 def _image(ring2, witness, indices):

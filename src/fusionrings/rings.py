@@ -250,26 +250,25 @@ def invertible_stabilizer(ring, x):
 
 def subring_generated(ring, seed):
     """Least based subring containing the seed indices."""
-    current = set(seed) | {0}
-    current |= {ring.dual[i] for i in current}
+    return _generated(ring.N, ring.dual, seed)
+
+
+def _generated(tensor, dual, seed):
+    """Sorted indices of the least set holding the unit and the seed that is
+    closed under the duality and the supports of products; tensor has no
+    negative entries."""
+    dual = np.asarray(dual)
+    current = np.zeros(len(dual), dtype=bool)
+    current[[0, *seed]] = True
     while True:
-        new = set()
-        cur = sorted(current)
-        for i in cur:
-            for j in cur:
-                for k in ring.support(i, j):
-                    if k not in current:
-                        new.add(k)
-        if not new:
-            return tuple(sorted(current))
-        current |= new
-        current |= {ring.dual[i] for i in new}
+        grown = current | current[dual] | tensor[np.ix_(current, current)].any(axis=(0, 1))
+        if (grown == current).all():
+            return tuple(np.flatnonzero(current).tolist())
+        current = grown
 
 
 def adjoint_indices(ring):
-    seed = set()
-    for i in range(ring.size):
-        seed.update(ring.support(i, ring.dual[i]))
+    seed = np.flatnonzero(ring.N[np.arange(ring.size), list(ring.dual)].any(axis=0))
     return subring_generated(ring, seed)
 
 

@@ -301,3 +301,79 @@ def test_cli_parser_is_built_once_and_each_call_parses_afresh(tmp_path):
     assert "dual_invertibles" in keys and "type" not in keys
     assert run_cli(["bicross", str(pair), "--ring", "--type"])[0] == 2
     assert bicross() == default
+
+
+def _break_missing_labels(p):
+    del p["labels"]
+
+
+def _break_missing_tensor(p):
+    del p["tensor"]
+
+
+def _break_string_in_dual(p):
+    p["dual"][1] = "1"
+
+
+def _break_fractional_tensor(p):
+    p["tensor"] = [0.5] * len(p["tensor"])
+
+
+def _break_bool_in_tensor(p):
+    p["tensor"][0] = True
+
+
+def _break_short_tensor(p):
+    p["tensor"] = p["tensor"][:-1]
+
+
+def _break_negative_entry(p):
+    p["tensor"][-1] = -1
+
+
+def _break_non_bijective_dual(p):
+    p["dual"] = [0] * len(p["dual"])
+
+
+def _break_entry_past_int64(p):
+    p["tensor"][-1] = 2**64
+
+
+@pytest.mark.parametrize(
+    "breaker",
+    [
+        _break_missing_labels,
+        _break_missing_tensor,
+        _break_string_in_dual,
+        _break_fractional_tensor,
+        _break_bool_in_tensor,
+        _break_short_tensor,
+        _break_negative_entry,
+        _break_non_bijective_dual,
+        _break_entry_past_int64,
+    ],
+)
+def test_cli_malformed_ring_documents_are_usage_errors(tmp_path, breaker):
+    _, text = run_cli(["repring", "S3"])
+    good = tmp_path / "good.json"
+    good.write_text(text)
+    doc = docs.loads(text)
+    breaker(doc["payload"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(docs.dumps(doc))
+    assert run_cli(["analyze", str(bad)])[0] == 2
+    assert run_cli(["equiv", str(bad), str(good)])[0] == 2
+    assert run_cli(["equiv", str(good), str(bad)])[0] == 2
+
+
+def test_cli_budget_hit_reports_search_progress(tmp_path, monkeypatch, capsys):
+    ring = rings.group_ring(parse_group_spec("D6"))
+    for name, r in (("a", ring), ("b", ring.relabel([0, 4, 10, 9, 3, 8, 5, 11, 1, 7, 6, 2]))):
+        (tmp_path / f"{name}.json").write_text(docs.dumps(docs.document("fusionring", docs.ring_payload(r))))
+    argv = ["equiv", str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    monkeypatch.setenv("WORKBENCH_NODE_BUDGET", "20")
+    assert run_cli(argv) == (3, "")
+    assert "20 nodes visited, deepest depth 11 of 12" in capsys.readouterr().err
+    monkeypatch.setenv("WORKBENCH_NODE_BUDGET", "21")
+    code, out = run_cli(argv)
+    assert code == 0 and docs.loads(out)["payload"]["found"]

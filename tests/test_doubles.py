@@ -1,7 +1,11 @@
 """Drinfeld-double modular data: S/T matrices, Verlinde ring, centralizers,
 Tannakian detection, central charge, S-equivalence."""
 
+import itertools
 import random
+
+import numpy as np
+import pytest
 
 from fusionrings import rings
 from fusionrings.cyclo import Cyclotomic
@@ -19,6 +23,7 @@ from fusionrings.doubles import (
     s_equivalence,
     verlinde_fusion,
 )
+from fusionrings.errors import SearchBudgetExceeded
 from fusionrings.perms import alternating_group, cyclic_group, symmetric_group
 
 
@@ -334,3 +339,85 @@ def test_larger_doubles_verlinde_and_sequiv():
         other = double_modular_data(_conjugated(g, (0, 2, 3)))
         f = s_equivalence(md, other)
         assert f is not None and f[0] == 0
+
+
+def permuted_double(md, perm, corrupt=None):
+    """Copy of md with label x renamed to perm[x] (perm[0] == 0), built by
+    permuting labels, S and T directly.  corrupt=(x, y, v) then sets the
+    symmetric entry pair S[x][y] = S[y][x] = v; such a copy is not certified."""
+    from fusionrings.doubles import ModularData, _certify_modular
+
+    n = md.size
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    s = [[md.S[inv[x]][inv[y]] for y in range(n)] for x in range(n)]
+    if corrupt is not None:
+        x, y, v = corrupt
+        s[x][y] = s[y][x] = v
+    out = ModularData(
+        group=md.group,
+        labels=tuple(md.labels[inv[x]] for x in range(n)),
+        S=tuple(map(tuple, s)),
+        T=tuple(md.T[inv[x]] for x in range(n)),
+        dims=tuple(md.dims[inv[x]] for x in range(n)),
+        global_dim=md.global_dim,
+        charge_conjugation=tuple(perm[md.charge_conjugation[inv[x]]] for x in range(n)),
+    )
+    if corrupt is None:
+        assert _certify_modular(out) == out.charge_conjugation
+    return out
+
+
+def brute_s_equivalences(md1, md2):
+    """Oracle: every unit-fixing bijection carrying S1 onto S2, by enumeration
+    on the numeric values (only for doubles with few labels)."""
+    s1 = np.array([[v.numeric() for v in row] for row in md1.S])
+    s2 = np.array([[v.numeric() for v in row] for row in md2.S])
+    perms = np.array([(0,) + rest for rest in itertools.permutations(range(1, md1.size))])
+    found = set()
+    for chunk in np.array_split(perms, max(1, len(perms) // 4096)):
+        close = np.isclose(s2[chunk[:, :, None], chunk[:, None, :]], s1, atol=1e-9).all(axis=(1, 2))
+        found.update(map(tuple, chunk[close].tolist()))
+    return found
+
+
+@pytest.mark.parametrize(
+    "group, perm, witness, threshold",
+    [
+        # witnesses and node thresholds of the search before it was shared
+        # with the ring search
+        (symmetric_group(3), [0, 5, 3, 7, 1, 6, 2, 4], (0, 5, 3, 7, 1, 6, 2, 4), 11),
+        (cyclic_group(3), [0, 4, 8, 2, 6, 1, 7, 3, 5], (0, 2, 7, 4, 6, 3, 8, 1, 5), 23),
+    ],
+    ids=["S3", "C3"],
+)
+def test_s_equivalence_against_brute_force(group, perm, witness, threshold):
+    md = double_modular_data(group)
+    other = permuted_double(md, perm)
+    oracle = brute_s_equivalences(md, other)
+    assert tuple(perm) in oracle
+    f = s_equivalence(md, other, budget=threshold)
+    assert f == witness and f in oracle and f != tuple(range(md.size))
+    with pytest.raises(SearchBudgetExceeded):
+        s_equivalence(md, other, budget=threshold - 1)
+    x, y = 1, md.size - 1
+    value = next(v for v in other.S[x] if v != other.S[x][y])  # already in S, elsewhere
+    corrupted = permuted_double(md, perm, corrupt=(x, y, value))
+    assert brute_s_equivalences(md, corrupted) == set()
+    assert s_equivalence(md, corrupted) is None
+
+
+def test_s_equivalence_budget_is_enforced():
+    md = double_modular_data(symmetric_group(3))
+    with pytest.raises(SearchBudgetExceeded):
+        s_equivalence(md, permuted_double(md, [0, 5, 3, 7, 1, 6, 2, 4]), budget=1)
+
+
+def test_s_equivalence_refutes_c4_against_klein_four():
+    from fusionrings.perms import PermGroup, Permutation
+
+    klein = PermGroup.from_generators(4, [Permutation.parse("(1 2)", 4), Permutation.parse("(3 4)", 4)])
+    md1, md2 = double_modular_data(cyclic_group(4)), double_modular_data(klein)
+    assert md1.size == md2.size == 16 and md1.global_dim == md2.global_dim
+    assert s_equivalence(md1, md2) is None

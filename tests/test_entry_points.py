@@ -36,6 +36,32 @@ def test_tracer_records_group_layer_buckets():
     assert "perms.classes" in tracer.self_time
 
 
+def test_tracer_records_both_searches_in_their_callers_buckets(tmp_path):
+    files = {}
+    for name, argv in (("ring", ["repring", "S4"]), ("md", ["double", "S3"])):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(out.getvalue())
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                cli.main(["equiv", str(files["ring"]), str(files["ring"])]),
+                cli.main(["sequiv", str(files["md"]), str(files["md"])]),
+            ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    assert tracer.self_time["equivalence.search"] > 0
+    assert tracer.self_time["doubles.sequiv"] > 0
+    assert tracer.counts["equivalence.found"] == 1
+    # the shared search is private: no public equivalence function beyond
+    # the listed buckets is traced
+    assert "equivalence.other" not in tracer.self_time
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demo_exits_cleanly(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

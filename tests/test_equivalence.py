@@ -128,3 +128,61 @@ def test_fingerprint_mismatch_implies_none():
     b = rep_ring(symmetric_group(4))
     # same size (6 vs 5)? D6 has 6 classes, S4 has 5 - also covers size path
     assert (fingerprint(a) == fingerprint(b)) == (find_equivalence(a, b) is not None)
+
+
+def cayley_ring(table):
+    """Pointed ring of a Cayley table with identity 0, built without the group layer."""
+    n = len(table)
+    tensor = np.zeros((n, n, n), dtype=np.int64)
+    tensor[np.arange(n)[:, None], np.arange(n)[None, :], np.array(table)] = 1
+    return rings.FusionRing([f"g{i}" for i in range(n)], tensor, [row.index(0) for row in table])
+
+
+def c4_semidirect_c4():
+    els = [(i, j) for i in range(4) for j in range(4)]  # a^i b^j with b a b^-1 = a^-1
+    return [[els.index(((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4)) for y in els] for x in els]
+
+
+def q8_times_c2():
+    signs = {("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j")}
+
+    def qmul(x, y):
+        (s, u), (t, v) = x, y
+        if u == "1" or v == "1":
+            return (s * t, v if u == "1" else u)
+        if u == v:
+            return (-s * t, "1")
+        sign, w = signs[(u, v)] if (u, v) in signs else (-signs[(v, u)][0], signs[(v, u)][1])
+        return (sign * s * t, w)
+
+    els = [(s, u, c) for s in (1, -1) for u in "1ijk" for c in (0, 1)]
+    return [[els.index(qmul(x[:2], y[:2]) + ((x[2] + y[2]) % 2,)) for y in els] for x in els]
+
+
+def test_relabelled_d6_group_ring_witness_and_threshold_are_pinned():
+    # values of the search before it was shared with the S-matrix search
+    ring = rings.group_ring(dihedral_group(6))
+    other = ring.relabel([0, 4, 10, 9, 3, 8, 5, 11, 1, 7, 6, 2])
+    w = find_equivalence(ring, other, budget=21)
+    assert w.bijection == (0, 1, 5, 6, 3, 7, 10, 11, 4, 8, 9, 2)
+    assert all(verify_properties(ring, other, w).values())
+    with pytest.raises(SearchBudgetExceeded):
+        find_equivalence(ring, other, budget=20)
+
+
+def test_same_fingerprint_negative_pair_is_refuted_at_pinned_threshold():
+    a, b = cayley_ring(c4_semidirect_c4()), cayley_ring(q8_times_c2())
+    assert fingerprint(a) == fingerprint(b)
+    assert find_equivalence(a, b, budget=592) is None
+    with pytest.raises(SearchBudgetExceeded):
+        find_equivalence(a, b, budget=591)
+    assert find_equivalence(b, a, budget=1680) is None
+    with pytest.raises(SearchBudgetExceeded):
+        find_equivalence(b, a, budget=1679)
+
+
+def test_budget_error_reports_progress():
+    ring = rings.group_ring(dihedral_group(6))
+    other = ring.relabel([0, 4, 10, 9, 3, 8, 5, 11, 1, 7, 6, 2])
+    with pytest.raises(SearchBudgetExceeded, match=r"20 nodes visited, deepest depth \d+ of 12"):
+        find_equivalence(ring, other, budget=20)

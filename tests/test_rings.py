@@ -209,3 +209,38 @@ def test_validate_is_exact_past_float64(b):
     with pytest.raises(AxiomViolation) as err:
         rings.validate(_big_commutative_ring(b, 1))
     assert err.value.axiom == "associativity"
+
+
+def closure_oracle(ring, seed):
+    """Least based subring containing the seed, grown pair by pair from the
+    supports of products and the duals."""
+    current = set(seed) | {0}
+    while True:
+        grown = set(current) | {ring.dual[i] for i in current}
+        for i in current:
+            for j in current:
+                grown.update(k for k in range(ring.size) if ring.N[i, j, k] > 0)
+        if grown == current:
+            return tuple(sorted(current))
+        current = grown
+
+
+def test_subring_generated_matches_pairwise_oracle():
+    import random
+
+    from fusionrings.doubles import double_modular_data, verlinde_fusion
+
+    rng = random.Random(11)
+    for ring in (
+        rep_ring(symmetric_group(4)),
+        rep_ring(alternating_group(5)),
+        rings.group_ring(dihedral_group(6)),
+        verlinde_fusion(double_modular_data(symmetric_group(3))),
+        verlinde_fusion(double_modular_data(cyclic_group(4))),
+    ):
+        for size in (0, 1, 1, 2, 3):
+            seed = rng.sample(range(ring.size), size)
+            assert rings.subring_generated(ring, seed) == closure_oracle(ring, seed)
+        assert rings.adjoint_indices(ring) == closure_oracle(
+            ring, {k for i in range(ring.size) for k in ring.support(i, ring.dual[i])}
+        )
