@@ -3,9 +3,10 @@ invariants of the split bicrossed product k^Gamma # kF.
 
 Irreducibles are indexed by (F-orbit on Gamma, irreducible of the stabilizer);
 their characters live on the basis {e_t # y}, products of characters follow
-the comultiplication sum over factorizations g*h = t in Gamma, and fusion
-multiplicities are recovered by solving against the linearly independent
-simple characters, then certified exactly.
+the comultiplication sum over factorizations g*h = t in Gamma.  Fusion
+multiplicities are solved and certified by the decomposition kernel of
+``rings`` at n pivot columns (t, y) where an exact echelon shows the simple
+characters independent.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import rings, tables
 from .chartab import _cyclo_column_echelon, character_table, irrep_matrices
-from .cyclo import Cyclotomic, _encode, _monomial_reduction, _phi
+from .cyclo import Cyclotomic, _coordinates, _inner
 from .errors import (
     GroupLawFailure,
     NonIntegralMultiplicity,
@@ -234,25 +235,37 @@ def split_type(mp):
 
 
 def split_fusion_ring(mp, cocycles=None):
-    """The based ring of Rep(k^Gamma # kF) via exact character decomposition."""
+    """The based ring of Rep(k^Gamma # kF), decomposed and certified by
+    ``rings``' kernel at the pivot columns."""
     irreps = split_irreps(mp, cocycles)
+    dims = tuple(w.dim for w in irreps)
+    tensor = rings._decompose(*_split_system(mp, irreps), dims)
+    labels = tuple(f"({w.orbit_rep.cycle_string()},{w.stab_row})" for w in irreps)
+    ring = rings.FusionRing(labels, tensor)
+    rings.validate(ring)
+    got = rings.fp_dims(ring)
+    if not (got.exact and got.dims == dims):
+        raise NonIntegralMultiplicity("ring dimensions disagree with induced dimensions")
+    return ring
+
+
+def _split_system(mp, irreps):
+    """(X, products, m): the simple characters X[z][k] and their products
+    products(x)[y][k] at n pivot columns (t_k, y_k), as Z[zeta_m]
+    coordinates, m the lcm of the stabilizer character conductors."""
     n = len(irreps)
     f, gamma = mp.f, mp.gamma
     n_gamma, n_f = gamma.order, f.order
-    m = f.exponent()
-    phim = _phi(m)
-    reduction = np.array(_monomial_reduction(m), dtype=np.int64)  # (2m-1, phim)
+    characters = [w.stab_table.chars[w.stab_row] for w in irreps]
+    # character values are algebraic integers, so no common denominator
+    m, _, codes = _coordinates([[v for values in characters for v in values]])
+    starts = np.cumsum([0] + [len(values) for values in characters])
 
-    # per-irrep sparse characters: orbit element index -> (n_f, m) int matrix
+    # per-irrep sparse characters: orbit element index -> (n_f, phi(m)) coordinates
     every_y = np.arange(n_f)
     chi_int = []
     chi_cyc = []
-    for w in irreps:
-        values = w.stab_table.chars[w.stab_row]
-        scale, codes = _encode(values, m)
-        if scale != 1:
-            raise SingularCharacterSystem("character value is not an algebraic integer")
-        codes = np.array(codes, dtype=np.int64)
+    for w, values, start in zip(irreps, characters, starts):
         live = np.array([not v.is_zero() for v in values] + [False])
         # class of each F-element in the stabilizer; -1 (a dead class) outside
         class_in_f = np.full(n_f, -1, dtype=np.intp)
@@ -262,9 +275,9 @@ def split_fusion_ring(mp, cocycles=None):
         for xi, t in zip(w.coset_reps, w.weights):
             x, t = f.index_of(xi), gamma.index_of(t)
             cls = class_in_f[f.mul(f.mul(f.inv[x], every_y), x)]  # class of x^-1 y x
-            block = np.zeros((n_f, m), dtype=np.int64)
+            block = np.zeros((n_f, codes.shape[2]), dtype=np.int64)
             hit = np.flatnonzero(live[cls])
-            block[hit] = codes[cls[hit]]
+            block[hit] = codes[0, start + cls[hit]]
             for yi in hit.tolist():
                 vals[(t, yi)] = values[cls[yi]]
             rows[t] = block
@@ -276,11 +289,12 @@ def split_fusion_ring(mp, cocycles=None):
     # t h^-1 for every h, per pivot weight t
     t_over = {t: gamma.mul(t, gamma.inv).tolist() for t in {t for t, _ in pivots}}
 
-    t_canon = np.zeros((len(pivots), n, n, phim), dtype=np.int64)
+    x_canon = np.zeros((n, n, codes.shape[2]), dtype=np.int64)
+    products = []
     for k, (t_i, y_i) in enumerate(pivots):
-        # A[i, h, :] = chi_i(e_{t h^-1} # (h |> y)); B[j, h, :] = chi_j(e_h # y)
-        a = np.zeros((n, n_gamma, m), dtype=np.int64)
-        b = np.zeros((n, n_gamma, m), dtype=np.int64)
+        # A[i, h] = chi_i(e_{t h^-1} # (h |> y)); B[j, h] = chi_j(e_h # y)
+        a = np.zeros((n, n_gamma, codes.shape[2]), dtype=np.int64)
+        b = np.zeros_like(a)
         for h in range(n_gamma):
             g = t_over[t_i][h]
             y2 = mp.rtab[h, y_i]
@@ -291,51 +305,9 @@ def split_fusion_ring(mp, cocycles=None):
                 blk = chi_int[i].get(h)
                 if blk is not None:
                     b[i, h] = blk[y_i]
-        acc = np.zeros((n, n, m), dtype=np.int64)
-        af = a.astype(np.float64)
-        bf = b.astype(np.float64)
-        for ea in range(m):
-            if not a[:, :, ea].any():
-                continue
-            left = af[:, :, ea]
-            for eb in range(m):
-                if not b[:, :, eb].any():
-                    continue
-                prod = left @ bf[:, :, eb].T
-                acc[:, :, (ea + eb) % m] += np.rint(prod).astype(np.int64)
-        t_canon[k] = acc @ reduction[:m]
-
-    # canonical coordinates of simple characters at the pivots
-    x_canon = np.zeros((n, len(pivots), phim), dtype=np.int64)
-    for k, (t_i, y_i) in enumerate(pivots):
-        for l in range(n):
-            blk = chi_int[l].get(t_i)
-            if blk is not None:
-                x_canon[l, k] = blk[y_i] @ reduction[:m]
-
-    design = x_canon.reshape(n, -1).T.astype(np.float64)  # (piv*phim, n)
-    rhs = t_canon.transpose(0, 3, 1, 2).reshape(len(pivots) * phim, n * n)
-    sol, *_ = np.linalg.lstsq(design, rhs.astype(np.float64), rcond=None)
-    mult = np.rint(sol).astype(np.int64)
-    # exact certification of the solved decomposition at the pivot columns
-    check = x_canon.reshape(n, -1).T  # int64
-    if not np.array_equal(check @ mult, rhs):
-        raise NonIntegralMultiplicity("character decomposition failed exact check")
-    if mult.min() < 0:
-        raise NonIntegralMultiplicity("negative multiplicity")
-    tensor = mult.T.reshape(n, n, n)
-
-    dims = np.array([w.dim for w in irreps], dtype=np.int64)
-    if not np.array_equal(tensor.astype(np.float64) @ dims, np.outer(dims, dims)):
-        raise NonIntegralMultiplicity("dimension additivity failed")
-
-    labels = tuple(f"({w.orbit_rep.cycle_string()},{w.stab_row})" for w in irreps)
-    ring = rings.FusionRing(labels, tensor)
-    rings.validate(ring)
-    got = rings.fp_dims(ring)
-    if not (got.exact and got.dims == tuple(int(d) for d in dims)):
-        raise NonIntegralMultiplicity("ring dimensions disagree with induced dimensions")
-    return ring
+        x_canon[:, k] = b[:, t_i]
+        products.append(_inner(a, b, m))  # sum over h of A[i, h] B[j, h]
+    return x_canon, lambda x: np.stack([block[x] for block in products], axis=1), m
 
 
 def _select_pivot_columns(chi_cyc, n, n_gamma, n_f):

@@ -4,8 +4,10 @@ The table is computed by the classical class-sum eigenvector method: the
 commuting class-sum matrices are simultaneously diagonalized over a prime
 field F_p with p = 1 (mod exponent) and p beyond the lift bound, and the
 eigenvalues are pulled back to exact root-of-unity sums through a discrete
-logarithm against a fixed primitive root.  All certification (orthogonality,
-degree sums) happens in exact cyclotomic arithmetic afterwards.
+logarithm against a fixed primitive root.  Orthogonality and degrees are
+then certified exactly on the integer Z[zeta_m] coordinates of the values.
+The ring of Rep G, chi_x chi_y = sum_z N[x][y][z] chi_z, is solved and
+certified on the same coordinates by the decomposition kernel of ``rings``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rings, tables
-from .cyclo import Cyclotomic, _is_prime, _prime_divisors
+from .cyclo import Cyclotomic, _coordinates, _inner, _is_prime, _pointwise, _primitive_root
 from .errors import LengthMismatch, LiftFailure, NonIntegralMultiplicity
 
 # ---------------------------------------------------------------------------
@@ -32,15 +34,6 @@ def dixon_prime(order, exponent, max_class_size):
     while not _is_prime(p):
         p += exponent
     return p
-
-
-def _primitive_root(p):
-    facs = _prime_divisors(p - 1)
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
-            return g
-        g += 1
 
 
 # dense ascending-coefficient polynomials over F_p
@@ -355,21 +348,21 @@ def _common_eigenlines(mats, p, r):
 
 
 def _certify(table):
-    """Exact orthogonality and degree checks; LiftFailure on any miss."""
+    """Exact row orthogonality, sum_j |C_j| chi_i(j) conj(chi_k(j)) = |G| delta_ik,
+    and degree checks; LiftFailure on any miss."""
     r = table.num_classes
-    order = table.group.order
-    sizes = [s for _, s in table.classes]
-    for i in range(r):
-        for k in range(i, r):
-            acc = Cyclotomic.zero()
-            for j in range(r):
-                acc = acc + table.chars[i][j] * table.chars[k][j].conjugate() * sizes[j]
-            want = order if i == k else 0
-            if acc != Cyclotomic.rational(want):
-                raise LiftFailure(f"row orthogonality failed at ({i},{k})")
-    for i in range(r):
-        if table.chars[i][0] != Cyclotomic.rational(table.degrees[i]):
-            raise LiftFailure("degree column mismatch")
+    m, scale, X = _coordinates(table.chars)
+    bar = _coordinates([[v.conjugate() for v in row] for row in table.chars])[2]
+    sizes = np.array([s for _, s in table.classes])  # |C_j| <= |G|: the products fit int64
+    gram = _inner(X * sizes[:, None], bar, m)  # [i, k, c]
+    want = np.zeros_like(gram)
+    want[np.arange(r), np.arange(r), 0] = scale * scale * table.group.order
+    bad = np.argwhere((gram != want).any(axis=2))
+    if bad.size:
+        i, k = bad[0].tolist()
+        raise LiftFailure(f"row orthogonality failed at ({i},{k})")
+    if (X[:, 0, 0] != scale * np.array(table.degrees)).any() or X[:, 0, 1:].any():
+        raise LiftFailure("degree column mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -387,27 +380,20 @@ def inner_product(table, a, b):
     return acc / table.group.order
 
 
+def _rep_system(table):
+    """(X, products, m) with sum_z N[x][y][z] X[z] = products(x)[y] the
+    decomposition chi_x chi_y = sum_z N[x][y][z] chi_z, on Z[zeta_m]
+    coordinates."""
+    m, scale, X = _coordinates(table.chars)
+    return X * scale, lambda x: _pointwise(X[x], X, m), m
+
+
 def rep_g_fusion_ring(table):
-    """The based ring of Rep G from exact character arithmetic."""
-    r = table.num_classes
-    chars = table.chars
-    tensor = np.zeros((r, r, r), dtype=np.int64)
-    for x in range(r):
-        for y in range(x, r):
-            prod = [chars[x][j] * chars[y][j] for j in range(r)]
-            for z in range(r):
-                mult = inner_product(table, prod, chars[z])
-                q = mult.rational_part()
-                if q is None or q.denominator != 1 or q < 0:
-                    raise NonIntegralMultiplicity(f"<{x}*{y},{z}> = {mult}")
-                tensor[x, y, z] = int(q)
-                tensor[y, x, z] = int(q)
-    dual = []
-    for x in range(r):
-        conj = tuple(v.conjugate() for v in chars[x])
-        dual.append(next(i for i in range(r) if chars[i] == conj))
-    labels = tuple(f"chi{i}" for i in range(r))
-    ring = rings.FusionRing(labels, tensor, tuple(dual))
+    """The based ring of Rep G, decomposed and certified by ``rings``' kernel."""
+    tensor = rings._decompose(*_rep_system(table), table.degrees)
+    labels = tuple(f"chi{i}" for i in range(table.num_classes))
+    # the dual of chi_x is the chi_y with N[x][y][0] = 1, its conjugate
+    ring = rings.FusionRing(labels, tensor)
     rings.validate(ring)
     dims = rings.fp_dims(ring)
     if not (dims.exact and dims.dims == table.degrees):

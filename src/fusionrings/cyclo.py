@@ -7,7 +7,10 @@ exponent vector against the fixed echelonized relation set of conductor N
 then minimizes the conductor by Galois-invariance descent over prime divisors.
 Two equal field elements therefore always carry identical representations.
 
-No floating point enters anywhere except :meth:`Cyclotomic.numeric`.
+The integer-array half holds values as canonical Z[zeta_m] coordinates
+scaled by one common denominator; its sums run in the dtype an explicit
+bound allows (:func:`_exact_dtype`), float64 only where they are exact.
+No other floating point enters anywhere except :meth:`Cyclotomic.numeric`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
+
+import numpy as np
 
 _ZERO = Fraction(0)
 
@@ -43,6 +49,15 @@ def _phi(n):
     for p in _prime_divisors(n):
         out -= out // p
     return out
+
+
+def _primitive_root(p):
+    facs = _prime_divisors(p - 1)
+    g = 2
+    while True:
+        if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
+            return g
+        g += 1
 
 
 @lru_cache(maxsize=None)
@@ -149,26 +164,75 @@ def _subfield_solver(n, m):
     return row, aug
 
 
-def _encode(values, m):
-    """Common denominator and integer coefficient rows of values over zeta_m.
+def _exact_dtype(bound):
+    """The cheapest dtype whose matmuls stay exact while every partial sum is
+    at most bound in absolute value: float64 (BLAS), int64, or Python ints."""
+    if bound < 2**53:
+        return np.float64
+    if bound < 2**63:
+        return np.int64
+    return object
 
-    Returns (scale, rows): scale is the least common denominator of every
-    coefficient, and rows[i] lists the coefficients of scale * values[i] on
-    zeta_m^0 .. zeta_m^(m-1), not yet reduced modulo Phi_m (multiply by
-    ``_monomial_reduction(m)[:m]`` for canonical coordinates).
-    """
-    values = list(values)
+
+def _top(array):
+    """The largest absolute entry of an integer array, 0 when it is empty."""
+    return int(np.abs(array).max()) if array.size else 0
+
+
+def _coordinates(rows):
+    """(m, L, X): X[i, j] holds the canonical Z[zeta_m] coordinates of
+    L * rows[i][j], m the lcm of the conductors and L the least common
+    denominator of every coefficient; X is int64 when the encoding's sums
+    stay below 2**63, else Python ints."""
+    values = list(chain.from_iterable(rows))
+    m = lcm(*(v.conductor for v in values))
     scale = lcm(*(c.denominator for v in values for c in v.coeffs.values()))
-    rows = []
-    for v in values:
-        if m % v.conductor:
-            raise ValueError(f"value at conductor {v.conductor} outside Q(zeta_{m})")
-        lift = m // v.conductor
-        row = [0] * m
+    codes = [[0] * m for _ in values]  # on zeta_m^0 .. zeta_m^(m-1), not yet reduced
+    for code, v in zip(codes, values):
         for e, c in v.coeffs.items():
-            row[e * lift] = c.numerator * (scale // c.denominator)
-        rows.append(row)
-    return scale, rows
+            code[e * (m // v.conductor)] = c.numerator * (scale // c.denominator)
+    red = np.array(_monomial_reduction(m)[:m], dtype=np.int64)
+    top = max(map(abs, chain.from_iterable(codes)), default=0) * m * _top(red)
+    dt = np.int64 if top < 2**63 else object
+    coords = np.array(codes, dtype=dt).reshape(-1, m) @ red.astype(dt)
+    return m, scale, coords.reshape(len(rows), -1, coords.shape[1])
+
+
+@lru_cache(maxsize=None)
+def _product_table(m):
+    """table[a, b] = canonical Z[zeta_m] coordinates of zeta_m^(a + b), a, b < phi(m)."""
+    red = np.array(_monomial_reduction(m), dtype=np.int64)
+    phi = red.shape[1]
+    table = red[np.add.outer(np.arange(phi), np.arange(phi))]
+    table.setflags(write=False)
+    return table
+
+
+def _pointwise(a, B, m):
+    """Coordinates of a[t] * B[y, t] as a (y, t, phi(m)) array, for a row
+    a (t, phi(m)) and an array B (y, t, phi(m)) of coordinates; int64 unless
+    an entry needs Python ints."""
+    table = _product_table(m)
+    phi = table.shape[0]
+    dt = _exact_dtype(phi * phi * _top(a) * _top(B) * _top(table))
+    left = (a.astype(dt) @ table.astype(dt).reshape(phi, -1)).reshape(-1, phi, phi)  # [t, b, c]
+    out = np.matmul(B.astype(dt).transpose(1, 0, 2), left).transpose(1, 0, 2)
+    return out if dt is object else out.astype(np.int64)
+
+
+def _inner(A, B, m):
+    """Coordinates of sum_t A[x, t] * B[y, t] as an (x, y, phi(m)) array, for
+    coordinate arrays A (x, t, phi(m)) and B (y, t, phi(m)); int64 unless
+    an entry needs Python ints."""
+    table = _product_table(m)
+    (nx, nt, phi), ny = A.shape, B.shape[0]
+    dt = _exact_dtype(nt * phi * phi * _top(A) * _top(B) * _top(table))
+    # one matmul over t for all powers zeta^a, zeta^b, then the product table
+    left = A.astype(dt).transpose(0, 2, 1).reshape(nx * phi, nt)
+    sums = (left @ B.astype(dt).transpose(1, 0, 2).reshape(nt, ny * phi)).reshape(nx, phi, ny, phi)
+    sums = sums.transpose(0, 2, 1, 3).reshape(nx * ny, phi * phi)
+    out = (sums @ table.astype(dt).reshape(phi * phi, phi)).reshape(nx, ny, phi)
+    return out if dt is object else out.astype(np.int64)
 
 
 def _reduce_raw(n, raw):

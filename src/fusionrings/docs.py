@@ -70,11 +70,28 @@ def group_payload(group):
     }
 
 
+def _check_group_payload(payload):
+    """Raise ValueError unless the payload has the keys and types of a group."""
+    if not (
+        isinstance(payload, dict)
+        and type(payload.get("degree")) is int
+        and payload["degree"] >= 1
+        and type(payload.get("order")) is int
+        and _is_string_list(payload.get("generators"))
+    ):
+        raise ValueError("a group payload needs an int degree >= 1, an int order and generator strings")
+
+
+def _is_string_list(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def group_from_payload(payload):
-    degree = int(payload["degree"])
+    _check_group_payload(payload)
+    degree = payload["degree"]
     gens = [Permutation.parse(s, degree) for s in payload["generators"]]
     group = PermGroup.from_generators(degree, gens)
-    if group.order != int(payload["order"]):
+    if group.order != payload["order"]:
         raise ValueError("group payload order mismatch")
     return group
 
@@ -123,17 +140,25 @@ def _check_ring_payload(payload):
         raise ValueError(f"fusionring dual needs {n} entries and tensor {n**3}")
     if not set(map(type, dual)) | set(map(type, tensor)) <= {int}:  # no bools, no floats
         raise ValueError("fusionring dual and tensor entries must be integers")
+    dims = payload.get("dims")
+    if dims is not None and not (isinstance(dims, list) and len(dims) == n and set(map(type, dims)) <= {int}):
+        raise ValueError(f"fusionring dims must be a list of {n} integers")
 
 
 def ring_from_payload(payload):
-    """The fusion ring of an input document; a malformed document or a broken
-    axiom raises ValueError."""
+    """The fusion ring of an input document; a malformed document, a broken
+    axiom or dims that are not the exact dimensions of the tensor raise
+    ValueError."""
     _check_ring_payload(payload)
     try:
         ring = rings.FusionRing(payload["labels"], payload["tensor"], payload["dual"])
         rings.validate(ring)
     except (AxiomViolation, OverflowError) as exc:
         raise ValueError(f"fusionring document: {exc}") from exc
+    if payload.get("dims") is not None:
+        got = rings.fp_dims(ring)
+        if not (got.exact and list(got.dims) == payload["dims"]):
+            raise ValueError(f"fusionring dims {payload['dims']} are not the tensor's dimensions")
     return ring
 
 
@@ -149,9 +174,15 @@ def pair_payload(mp):
 
 
 def pair_from_payload(payload):
+    """The matched pair of an input document; a malformed document raises ValueError."""
     from .bicross import matched_pair_from_factorization
 
-    ambient = group_from_payload(payload["ambient"])
+    if not isinstance(payload, dict):
+        raise ValueError("matchedpair payload must be an object")
+    for key in ("f_generators", "gamma_generators"):
+        if not _is_string_list(payload.get(key)):
+            raise ValueError(f"matchedpair payload needs {key!r} as a list of strings")
+    ambient = group_from_payload(payload.get("ambient"))
     degree = ambient.degree
     f = ambient.subgroup([Permutation.parse(s, degree) for s in payload["f_generators"]])
     gamma = ambient.subgroup(
@@ -186,15 +217,8 @@ def _check_modular_payload(payload):
     a modulardata document (entries of s and t are checked as they parse)."""
     if not isinstance(payload, dict):
         raise ValueError("modulardata payload must be an object")
-    group = payload.get("group")
-    if group is not None and not (
-        isinstance(group, dict)
-        and type(group.get("degree")) is int
-        and type(group.get("order")) is int
-        and isinstance(group.get("generators"), list)
-        and all(isinstance(g, str) for g in group["generators"])
-    ):
-        raise ValueError("modulardata group must be null or a group payload")
+    if payload.get("group") is not None:
+        _check_group_payload(payload["group"])
     for key, kind in (("labels", list), ("dims", list), ("s", list), ("t", list), ("global_dim", int)):
         if not isinstance(payload.get(key), kind) or isinstance(payload[key], bool):
             raise ValueError(f"modulardata payload needs {key!r} as a {kind.__name__}")

@@ -9,22 +9,18 @@ S is encoded as an integer coefficient array A = L*S of shape
 (n, n, phi(m)): the coordinates of each entry in the power basis of
 Z[zeta_m], where m is the lcm of the entry conductors and L one common
 denominator (1 for genuine doubles).  S^2 = D*C is checked as one integer
-matmul on A.
+contraction on A.
 
 The fusion tensor is the Verlinde sum
-N[x][y][z] = sum_t S[x][t] S[y][t] S[z*][t] / (d_t D).  It is computed in
-F_p, for the least prime p = 1 (mod m) above 2 max(d)^2 that divides none
-of L, D and the d_t, with zeta_m sent to a primitive m-th root of unity mod
-p: one batched matmul, whose residues are lifted symmetrically.  The lift is
-then certified exactly on integer arrays: L d_t (N_x A)[y][t] =
-A[x][t] A[y][t] for all x, y, t.  S is invertible (S^2 = D*C), so this
-identity holds exactly when N is the Verlinde value, and no answer rests on
-the prime.  The certified tensor is kept on the modular data and serves the
-Verlinde ring, the closures (``rings``' subring closure), the projective
-centralizers and the S-equivalence check.  The S-equivalence search is the
-witness search of ``equivalence``, run on S with its entries encoded as
-integer colours.  Every matmul runs in the dtype that an explicit bound
-on its sums allows (``rings._exact_dtype``).
+N[x][y][z] = sum_t S[x][t] S[y][t] S[z*][t] / (d_t D), that is, the
+decomposition sum_z N[x][y][z] S[z][t] = S[x][t] S[y][t] / d_t.  It is
+solved and certified by the decomposition kernel of ``rings`` with
+X = A * L d_t and the pointwise products A[x][t] A[y][t]; S is invertible
+(S^2 = D*C), so the certificate pins N.  The certified tensor is kept on the
+modular data and serves the Verlinde ring, the closures (``rings``' subring
+closure), the projective centralizers and the S-equivalence check.  The
+S-equivalence search is the witness search of ``equivalence``, run on S with
+its entries encoded as integer colours.
 """
 
 from __future__ import annotations
@@ -33,14 +29,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from . import rings
-from .chartab import _primitive_root, character_table
-from .cyclo import Cyclotomic, _encode, _is_prime, _monomial_reduction
+from .chartab import character_table
+from .cyclo import Cyclotomic, _coordinates, _inner, _pointwise
 from .equivalence import _node_budget, _search
 from .errors import InvariantFailure, NonIntegralMultiplicity, SingularS
 
@@ -178,17 +172,8 @@ def _certify_modular(md):
             if s[x][y] != s[y][x]:
                 raise InvariantFailure("symmetry", f"S[{x}][{y}]")
     # S.S = global_dim * permutation of order <= 2, as L^2 S.S on A
-    scale, m, A = _s_coordinates(md)
-    phi = A.shape[2]
-    top = int(np.abs(A).max())
-    table = _product_table(m)
-    dt = rings._exact_dtype(n * phi * phi * top * top * int(np.abs(table).max()))
-    A = A.astype(dt)
-    left = np.tensordot(A, table.astype(dt), axes=(2, 0))  # [x, k, b, c]
-    square = (
-        left.transpose(0, 3, 1, 2).reshape(n * phi, n * phi)
-        @ A.transpose(0, 2, 1).reshape(n * phi, n)
-    ).reshape(n, phi, n).transpose(0, 2, 1)  # [x, y, c]
+    m, scale, A = _coordinates(s)
+    square = _inner(A, A, m)  # S is symmetric: (S.S)[x][y] = sum_t S[x][t] S[y][t]
     target = scale * scale * md.global_dim
     nonzero = (square != 0).any(axis=2)
     conj = [None] * n
@@ -208,90 +193,19 @@ def _certify_modular(md):
     return tuple(conj)
 
 
-@lru_cache(maxsize=None)
-def _product_table(m):
-    """table[a, b] = canonical Z[zeta_m] coordinates of zeta_m^(a + b), a, b < phi(m)."""
-    red = np.array(_monomial_reduction(m), dtype=np.int64)
-    phi = red.shape[1]
-    table = red[np.add.outer(np.arange(phi), np.arange(phi))]
-    table.setflags(write=False)
-    return table
-
-
-def _s_coordinates(md):
-    """(L, m, A): A[x, y] holds the canonical Z[zeta_m] coordinates of L * S[x][y].
-
-    A is int64 when its encoding fits, else an array of Python ints.
-    """
-    n = md.size
-    entries = [v for row in md.S for v in row]
-    m = math.lcm(*(v.conductor for v in entries))
-    scale, rows = _encode(entries, m)
-    red = np.array(_monomial_reduction(m)[:m], dtype=np.int64)
-    top = max(map(abs, chain.from_iterable(rows))) * m * int(np.abs(red).max())
-    dt = np.int64 if top < 2**63 else object
-    return scale, m, (np.array(rows, dtype=dt) @ red.astype(dt)).reshape(n, n, -1)
-
-
-def _verlinde_prime(md, scale, m):
-    """Least prime p = 1 (mod m) above 2 max(d)^2 dividing none of L, D and the d_t.
-
-    With positive dimensions, non-negative multiplicities lie in [0, max(d)^2]
-    (sum_z N[x][y][z] d_z = d_x d_y), so their symmetric residues mod p are
-    the multiplicities themselves; any other lift fails the exact certificate.
-    """
-    bound = 2 * max(d * d for d in md.dims)
-    denominators = scale * md.global_dim * math.prod(md.dims)
-    p = bound // m * m + 1
-    while p <= bound or not _is_prime(p) or denominators % p == 0:
-        p += m
-    return p
-
-
-def _verlinde_mod_p(md, scale, m, A, p):
-    """The Verlinde tensor modulo p, lifted from symmetric residues."""
-    n, phi = md.size, A.shape[2]
-    dt = rings._exact_dtype(max(n, phi) * (p - 1) ** 2)
-    omega = pow(_primitive_root(p), (p - 1) // m, p)
-    powers = np.array([pow(omega, k, p) for k in range(phi)], dtype=dt)
-    s = (A % p).astype(dt) @ powers % p  # L * S mod p
-    weights = [pow(scale**3 * d * md.global_dim, -1, p) for d in md.dims]
-    # right[t, z] = S[z*][t] / (d_t D), the inverse of S scaled by 1 / d_t
-    right = s[list(md.charge_conjugation)].T * np.array(weights, dtype=dt)[:, None] % p
-    resid = s @ (s[:, :, None] * right[None] % p) % p  # [x, y, z], one matmul per x
-    lifted = np.where(resid > p // 2, resid - p, resid)
-    return lifted if dt is object else lifted.astype(np.int64)
-
-
-def _certify_fusion(md, scale, m, A, N):
-    """Certify exactly that N is the Verlinde tensor: L d_t (N_x A)[y][t] = A[x][t] A[y][t]."""
-    if (N < 0).any():
-        x, y, z = np.argwhere(N < 0)[0].tolist()
-        raise NonIntegralMultiplicity(f"N[{x}][{y}][{z}] = {N[x, y, z]} is negative")
-    n, phi = md.size, A.shape[2]
-    top = int(np.abs(A).max())
-    table = _product_table(m)
-    lhs_bound = scale * max(abs(d) for d in md.dims) * n * int(N.max()) * top
-    rhs_bound = phi * phi * top * top * int(np.abs(table).max())
-    dt = rings._exact_dtype(max(lhs_bound, rhs_bound))
-    A = A.astype(dt)
-    weights = np.array([scale * d for d in md.dims], dtype=dt)  # L d_t
-    lhs = (N.astype(dt).reshape(n * n, n) @ A.reshape(n, n * phi)).reshape(n, n, n, phi)
-    lhs = lhs * weights[:, None]
-    left = np.tensordot(A, table.astype(dt), axes=(2, 0))  # [x, t, b, c]
-    rhs = np.matmul(A.transpose(1, 0, 2), left.transpose(1, 2, 0, 3).reshape(n, phi, n * phi))
-    rhs = rhs.reshape(n, n, n, phi).transpose(2, 1, 0, 3)  # [x, y, t, c]
-    if not np.array_equal(lhs, rhs):
-        x, y = np.argwhere((lhs != rhs).any(axis=(2, 3)))[0].tolist()
-        raise NonIntegralMultiplicity(f"row N[{x}][{y}] fails the exact Verlinde certificate")
+def _verlinde_system(md):
+    """(X, products, m) with sum_z N[x][y][z] X[z] = products(x)[y] the
+    Verlinde decomposition: X[z][t] = L d_t A[z][t] and
+    products(x)[y][t] = A[x][t] A[y][t]."""
+    m, scale, A = _coordinates(md.S)
+    weights = np.array([scale * d for d in md.dims], dtype=object)  # L d_t, as Python ints
+    return A * weights[:, None], lambda x: _pointwise(A[x], A, m), m
 
 
 def _fusion_tensor(md):
-    """The Verlinde tensor N[x, y, z] of md, computed in F_p and certified exactly."""
+    """The Verlinde tensor N[x, y, z] of md, solved in F_p and certified exactly."""
     if md._fusion is None:
-        scale, m, A = _s_coordinates(md)
-        N = _verlinde_mod_p(md, scale, m, A, _verlinde_prime(md, scale, m))
-        _certify_fusion(md, scale, m, A, N)
+        N = rings._decompose(*_verlinde_system(md), md.dims)
         N.setflags(write=False)
         md._fusion = N
     return md._fusion

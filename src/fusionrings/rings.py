@@ -1,10 +1,22 @@
 """Based rings with non-negative structure constants: validation, dimensions,
-subring lattice, gradings, nilpotency.
+subring lattice, gradings, nilpotency, and the one solver that reads fusion
+rules off a character system.
 
 The structure tensor is held as a write-locked numpy int array; all axiom
 checks are exhaustive.  Large tensor contractions go through float64 matmuls
 only while an explicit bound keeps every sum below 2**53, where float64 is
-exact; past it they run on int64, and past 2**63 on Python integers.
+exact; past it they run on int64, and past 2**63 on Python integers
+(``cyclo._exact_dtype``).
+
+Every ring read off characters (Rep G, split bicrossed products, the
+Verlinde ring of a double) solves sum_z N[x][y][z] X[z] = P[x][y] on
+Z[zeta_m] coordinate arrays: X[z][t] is character z at column t and
+P[x][y][t] the product of characters x and y there.  ``_decompose`` solves
+it modulo the least prime p = 1 (mod m) above 2 max(d)^2 at which X is
+invertible and lifts the symmetric residues, since multiplicities lie in
+[0, max(d)^2]; ``_certify_decomposition`` checks N >= 0 and the equation
+exactly.  Each caller proves X invertible over Q(zeta_m) where it builds
+it, so the certificate pins N and no answer rests on the prime.
 """
 
 from __future__ import annotations
@@ -14,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
-from .cyclo import _prime_divisors
-from .errors import AxiomViolation, GradingInconsistent, NoPositiveEigenvector
+from .cyclo import _exact_dtype, _is_prime, _prime_divisors, _primitive_root, _top
+from .errors import AxiomViolation, GradingInconsistent, NoPositiveEigenvector, NonIntegralMultiplicity
 
 
 class FusionRing:
@@ -119,16 +131,6 @@ class GradingDecomposition:
         return out
 
 
-def _exact_dtype(bound):
-    """The cheapest dtype whose matmuls stay exact while every partial sum is
-    at most bound in absolute value: float64 (BLAS), int64, or Python ints."""
-    if bound < 2**53:
-        return np.float64
-    if bound < 2**63:
-        return np.int64
-    return object
-
-
 def validate(ring):
     """Check every based-ring axiom exhaustively; raise AxiomViolation on failure."""
     n = ring.size
@@ -166,6 +168,67 @@ def validate(ring):
         if not np.array_equal(lhs, rhs):
             bad = np.argwhere(lhs != rhs)[0]
             raise AxiomViolation("associativity", (i, int(bad[0]), int(bad[1]), int(bad[2])))
+
+
+def _decompose(X, products, m, dims):
+    """The certified N with sum_z N[x, y, z] X[z] = products(x)[y], for X
+    (n, n, phi(m)) invertible over Q(zeta_m), products(x) = P[x] made one x
+    at a time (so no n^3 phi(m) array is held) and the n dimensions dims."""
+    p, powers, inverse = _solving_prime(X, m, dims)
+    rhs = np.stack([(products(x) % p).astype(powers.dtype) @ powers % p for x in range(len(X))])
+    N = (rhs @ inverse + p // 2) % p - p // 2  # [x, y, z], symmetric residues
+    _certify_decomposition(X, products, N)
+    return N.astype(np.int64)
+
+
+def _solving_prime(X, m, dims):
+    """(p, powers, inverse): the least prime p = 1 (mod m) above 2 max(d)^2 at
+    which X is invertible, the powers zeta_m^k mod p for k < phi(m), and the
+    inverse of X mod p; the arrays are in the dtype exact for the sums mod p."""
+    n, phi = X.shape[0], X.shape[2]
+    bound = 2 * max(d * d for d in dims)
+    p = bound // m * m + 1
+    while True:
+        if p > bound and _is_prime(p):
+            dt = _exact_dtype(max(n, phi) * p * p)
+            omega = pow(_primitive_root(p), (p - 1) // m, p)
+            powers = np.array([pow(omega, k, p) for k in range(phi)], dtype=dt)
+            inverse = _inverse_mod((X % p).astype(dt) @ powers % p, p)
+            if inverse is not None:
+                return p, powers, inverse
+        p += m
+
+
+def _inverse_mod(a, p):
+    """Inverse of the square matrix a (entries in [0, p)) over F_p by
+    Gauss-Jordan on [a | I]; None when a is singular mod p."""
+    n = len(a)
+    aug = np.concatenate([a, np.eye(n, dtype=a.dtype)], axis=1)
+    for col in range(n):
+        nonzero = np.flatnonzero(aug[col:, col])
+        if not nonzero.size:
+            return None
+        pivot = col + nonzero[0]
+        aug[[col, pivot]] = aug[[pivot, col]]
+        row = aug[col] * pow(int(aug[col, col]), -1, p) % p
+        aug = (aug - np.outer(aug[:, col], row)) % p  # clears the pivot row too
+        aug[col] = row
+    return aug[:, n:]
+
+
+def _certify_decomposition(X, products, N):
+    """Certify exactly that N >= 0 and sum_z N[x, y, z] X[z] = products(x)[y]."""
+    if (N < 0).any():
+        x, y, z = np.argwhere(N < 0)[0].tolist()
+        raise NonIntegralMultiplicity(f"N[{x}][{y}][{z}] = {N[x, y, z]} is negative")
+    n = N.shape[0]
+    dt = _exact_dtype(n * _top(N) * _top(X))
+    columns = X.reshape(n, -1).astype(dt)
+    for x in range(n):
+        bad = (N[x].astype(dt) @ columns != products(x).reshape(n, -1)).any(axis=1)
+        if bad.any():
+            y = int(np.flatnonzero(bad)[0])
+            raise NonIntegralMultiplicity(f"N[{x}][{y}] fails the exact decomposition certificate")
 
 
 def fp_dims(ring):

@@ -184,3 +184,73 @@ def _matmul(a, b):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def rep_ring_oracle(table):
+    """N[x][y][z] = <chi_x chi_y, chi_z>, one exact inner product per entry."""
+    r = table.num_classes
+    chars = table.chars
+    tensor = [[[None] * r for _ in range(r)] for _ in range(r)]
+    for x in range(r):
+        for y in range(r):
+            prod = [a * b for a, b in zip(chars[x], chars[y])]
+            for z in range(r):
+                q = inner_product(table, prod, chars[z]).rational_part()
+                assert q is not None and q.denominator == 1 and q >= 0
+                tensor[x][y][z] = int(q)
+    dual = tuple(chars.index(tuple(v.conjugate() for v in row)) for row in chars)
+    return tensor, dual
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        alternating_group(5),
+        alternating_group(7),
+        cyclic_group(8),
+        dihedral_group(7),
+        PermGroup.from_generators(
+            7, [Permutation.parse("(1 2 3 4 5 6 7)", 7), Permutation.parse("(2 3 5)(4 7 6)", 7)]
+        ),
+        PermGroup.from_generators(
+            7, [Permutation.parse("(1 2 3 4 5 6 7)", 7), Permutation.parse("(1 2)(3 6)", 7)]
+        ),
+    ],
+    ids=["A5", "A7", "C8", "D7", "F21", "PSL(3,2)"],
+)
+def test_rep_ring_matches_the_inner_product_oracle(group):
+    table = character_table(group)
+    assert any(v.conductor > 2 for row in table.chars for v in row)  # irrational values
+    ring = rep_g_fusion_ring(table)
+    tensor, dual = rep_ring_oracle(table)
+    assert ring.N.tolist() == tensor
+    assert ring.dual == dual
+
+
+def test_rep_ring_does_no_cyclotomic_arithmetic(monkeypatch):
+    table = character_table(alternating_group(5))
+    want = rep_ring_oracle(table)[0]
+
+    def forbidden(*args):
+        raise AssertionError("cyclotomic arithmetic in rep_g_fusion_ring")
+
+    for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__",
+               "inverse", "conjugate", "galois"):
+        monkeypatch.setattr(Cyclotomic, op, forbidden)
+    assert rep_g_fusion_ring(table).N.tolist() == want
+
+
+def test_certify_rejects_broken_tables_with_the_same_messages():
+    import dataclasses
+
+    from fusionrings.chartab import _certify
+    from fusionrings.errors import LiftFailure
+
+    table = character_table(alternating_group(5))
+    chars = [list(row) for row in table.chars]
+    chars[1][1], chars[2][1] = chars[2][1], chars[1][1]  # swap the sqrt(5) values in one column
+    with pytest.raises(LiftFailure, match=r"row orthogonality failed at \(0,1\)"):
+        _certify(dataclasses.replace(table, chars=tuple(map(tuple, chars))))
+    degrees = (1, 3, 3, 5, 4)
+    with pytest.raises(LiftFailure, match="degree column mismatch"):
+        _certify(dataclasses.replace(table, degrees=degrees))

@@ -339,6 +339,18 @@ def _break_entry_past_int64(p):
     p["tensor"][-1] = 2**64
 
 
+def _break_dims_contradict_tensor(p):
+    p["dims"] = [1, 7, 9]
+
+
+def _break_short_dims(p):
+    p["dims"] = p["dims"][:-1]
+
+
+def _break_string_in_dims(p):
+    p["dims"][1] = "1"
+
+
 @pytest.mark.parametrize(
     "breaker",
     [
@@ -351,6 +363,9 @@ def _break_entry_past_int64(p):
         _break_negative_entry,
         _break_non_bijective_dual,
         _break_entry_past_int64,
+        _break_dims_contradict_tensor,
+        _break_short_dims,
+        _break_string_in_dims,
     ],
 )
 def test_cli_malformed_ring_documents_are_usage_errors(tmp_path, breaker):
@@ -377,3 +392,48 @@ def test_cli_budget_hit_reports_search_progress(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WORKBENCH_NODE_BUDGET", "21")
     code, out = run_cli(argv)
     assert code == 0 and docs.loads(out)["payload"]["found"]
+
+
+def _break_missing_ambient(p):
+    del p["ambient"]
+
+
+def _break_int_in_f_generators(p):
+    p["f_generators"][0] = 5
+
+
+def _break_missing_gamma_generators(p):
+    del p["gamma_generators"]
+
+
+def _break_string_degree(p):
+    p["ambient"]["degree"] = "5"
+
+
+def _break_float_order(p):
+    p["ambient"]["order"] = 60.0
+
+
+def _break_int_in_ambient_generators(p):
+    p["ambient"]["generators"] = [1, 2]
+
+
+@pytest.mark.parametrize(
+    "breaker",
+    [
+        _break_missing_ambient,
+        _break_int_in_f_generators,
+        _break_missing_gamma_generators,
+        _break_string_degree,
+        _break_float_order,
+        _break_int_in_ambient_generators,
+    ],
+)
+def test_cli_malformed_pair_documents_are_usage_errors(tmp_path, breaker):
+    _, text = run_cli(["pair", "A5", "C5", "A4"])
+    doc = docs.loads(text)
+    breaker(doc["payload"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(docs.dumps(doc))
+    for flags in ([], ["--ring"], ["--dual-invertibles"]):
+        assert run_cli(["bicross", str(bad), *flags])[0] == 2

@@ -280,28 +280,35 @@ def test_fusion_tensor_matches_the_cyclotomic_verlinde_sum():
 
 
 def test_exact_certificate_rejects_what_the_prime_cannot_see():
-    import pytest
-
-    from fusionrings.doubles import (
-        _certify_fusion,
-        _s_coordinates,
-        _verlinde_mod_p,
-        _verlinde_prime,
-    )
+    """The certificate of the shared decomposition kernel, on a Verlinde, a
+    Rep G and a split-ring system: a lifted tensor off by one and one shifted
+    by the kernel's prime (the same residue mod p) are both rejected."""
+    from fusionrings.bicross import _split_system, matched_pair_from_factorization, split_irreps
+    from fusionrings.chartab import _rep_system, character_table
+    from fusionrings.doubles import _verlinde_system
     from fusionrings.errors import NonIntegralMultiplicity
+    from fusionrings.rings import _certify_decomposition, _decompose, _solving_prime
 
     md = double_modular_data(symmetric_group(3))
-    scale, m, a = _s_coordinates(md)
-    p = _verlinde_prime(md, scale, m)
-    good = _verlinde_mod_p(md, scale, m, a, p)
-    _certify_fusion(md, scale, m, a, good)
-    off_by_one = good.copy()
-    off_by_one[3, 4, 5] += 1
-    shifted = good.copy()
-    shifted[3, 4, 5] += p  # the same residue mod p
-    for bad in (off_by_one, shifted):
-        with pytest.raises(NonIntegralMultiplicity):
-            _certify_fusion(md, scale, m, a, bad)
+    table = character_table(symmetric_group(4))
+    k5 = matched_pair_from_factorization(
+        alternating_group(5), cyclic_group(5, degree=5), alternating_group(4, degree=5)
+    )
+    irreps = split_irreps(k5)
+    cases = [
+        (_verlinde_system(md), md.dims, (3, 4, 5)),
+        (_rep_system(table), table.degrees, (3, 4, 2)),
+        (_split_system(k5, irreps), [w.dim for w in irreps], (10, 11, 5)),
+    ]
+    for (X, products, m), dims, entry in cases:
+        p = _solving_prime(X, m, dims)[0]
+        good = _decompose(X, products, m, dims)
+        _certify_decomposition(X, products, good)
+        for shift in (1, p):
+            bad = good.copy()
+            bad[entry] += shift
+            with pytest.raises(NonIntegralMultiplicity):
+                _certify_decomposition(X, products, bad)
 
 
 def test_corrupted_s_fails_the_s_squared_certificate():

@@ -62,6 +62,32 @@ def test_tracer_records_both_searches_in_their_callers_buckets(tmp_path):
     assert "equivalence.other" not in tracer.self_time
 
 
+def test_tracer_puts_the_decomposition_kernel_in_its_callers_buckets(tmp_path):
+    files = {}
+    for name, argv in (("md", ["double", "S3"]), ("pair", ["pair", "A5", "C5", "A4"])):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(out.getvalue())
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [
+                cli.main(["repring", "S5"]),
+                cli.main(["verlinde", str(files["md"])]),
+                cli.main(["bicross", str(files["pair"]), "--ring"]),
+            ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    for bucket in ("chartab.rep_ring", "doubles.verlinde", "bicross.ring"):
+        assert tracer.self_time[bucket] > 0
+    # the kernel is private to rings: no public rings function beyond the
+    # listed buckets is traced
+    assert "rings.other" not in tracer.self_time
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demo_exits_cleanly(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

@@ -244,3 +244,22 @@ def test_subring_generated_matches_pairwise_oracle():
         assert rings.adjoint_indices(ring) == closure_oracle(
             ring, {k for i in range(ring.size) for k in ring.support(i, ring.dual[i])}
         )
+
+
+def test_decomposition_kernel_skips_a_prime_where_x_is_singular():
+    import numpy as np
+
+    from fusionrings.rings import _decompose, _solving_prime
+
+    # characters of Z/2 scaled so that X = diag(1, 3) is singular mod 3, the
+    # first candidate prime above 2 max(d)^2 = 2
+    X = np.array([[1, 0], [0, 3]]).reshape(2, 2, 1)
+    N = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    P = np.einsum("xyz,ztc->xytc", N, X)
+    assert round(np.linalg.det(X[:, :, 0])) % 3 == 0
+    assert _solving_prime(X, 1, (1, 1))[0] == 5
+    assert np.array_equal(_decompose(X, P.__getitem__, 1, (1, 1)), N)
+    # dimensions of 2^16 push p past 2^33, where the sums mod p need Python ints
+    p, powers, _ = _solving_prime(X, 1, (2**16, 2**16))
+    assert p > 2**33 and powers.dtype == object
+    assert np.array_equal(_decompose(X, P.__getitem__, 1, (2**16, 2**16)), N)
