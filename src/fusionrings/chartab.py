@@ -1,13 +1,17 @@
 """Exact character tables of finite groups, and the based ring of Rep G.
 
-The table is computed by the classical class-sum eigenvector method: the
-commuting class-sum matrices are simultaneously diagonalized over a prime
-field F_p with p = 1 (mod exponent) and p beyond the lift bound, and the
-eigenvalues are pulled back to exact root-of-unity sums through a discrete
-logarithm against a fixed primitive root.  Orthogonality and degrees are
-then certified exactly on the integer Z[zeta_m] coordinates of the values.
-The ring of Rep G, chi_x chi_y = sum_z N[x][y][z] chi_z, is solved and
-certified on the same coordinates by the decomposition kernel of ``rings``.
+The table is computed by Dixon's class-sum eigenvector method on int64
+arrays of residues mod a prime p = 1 (mod exponent) beyond the lift bound:
+class matrices are built one at a time and refine the eigenspaces they
+share until the central characters are lines.  The values are lifted by
+one inverse DFT matmul per element order m, which reads the multiplicity
+of each eigenvalue zeta_m^k of a class representative off its power map,
+and each distinct value becomes a Cyclotomic once.  Tables
+with more than MAX_CLASSES classes are refused.  Orthogonality and degrees
+are then certified exactly on the integer Z[zeta_m] coordinates of the
+distinct values.  The ring of Rep G, chi_x chi_y = sum_z N[x][y][z] chi_z,
+is solved and certified on the same coordinates by the decomposition
+kernel of ``rings``.
 """
 
 from __future__ import annotations
@@ -20,176 +24,25 @@ from functools import lru_cache
 import numpy as np
 
 from . import rings, tables
-from .cyclo import Cyclotomic, _coordinates, _inner, _is_prime, _pointwise, _primitive_root
-from .errors import LengthMismatch, LiftFailure, NonIntegralMultiplicity
-
-# ---------------------------------------------------------------------------
-# F_p utilities
-
-
-def dixon_prime(order, exponent, max_class_size):
-    """Smallest prime = 1 (mod exponent) above the lift safeguard bound."""
-    bound = 2 * math.isqrt(order) * max_class_size + 1
-    p = (bound // exponent + 1) * exponent + 1
-    while not _is_prime(p):
-        p += exponent
-    return p
-
-
-# dense ascending-coefficient polynomials over F_p
-
-
-def _pnorm(f):
-    while len(f) > 1 and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pnorm(out)
-
-
-def _pmod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
-    while len(f) - 1 >= dg and any(f):
-        c = f[-1] * inv % p
-        shift = len(f) - 1 - dg
-        if c:
-            for j, b in enumerate(g):
-                f[shift + j] = (f[shift + j] - c * b) % p
-        f.pop()
-    return _pnorm(f if f else [0])
-
-
-def _pgcd(f, g, p):
-    f, g = list(f), list(g)
-    while g != [0]:
-        f, g = g, _pmod(f, g, p)
-    inv = pow(f[-1], p - 2, p)
-    return [c * inv % p for c in f]
-
-
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    base = _pmod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _proots(f, p):
-    """Distinct roots of f over F_p (f is assumed to split into linears)."""
-    f = _pnorm(list(f))
-    roots = []
-    if f[0] == 0:
-        roots.append(0)
-        while f[0] == 0 and len(f) > 1:
-            f = f[1:]
-    if len(f) == 1:
-        return sorted(roots)
-    if len(f) == 2:
-        roots.append((-f[0]) * pow(f[1], p - 2, p) % p)
-        return sorted(roots)
-    xp = _ppowmod([0, 1], p, f, p)
-    while len(xp) < 2:
-        xp.append(0)
-    xp[1] = (xp[1] - 1) % p
-    g = _pgcd(f, _pnorm(xp), p)
-
-    def split(h):
-        if len(h) == 1:
-            return
-        if len(h) == 2:
-            roots.append((-h[0]) * pow(h[1], p - 2, p) % p)
-            return
-        a = 0
-        while True:
-            t = _ppowmod([a, 1], (p - 1) // 2, h, p)
-            t[0] = (t[0] - 1) % p
-            d = _pgcd(h, _pnorm(t), p)
-            if 1 < len(d) < len(h):
-                split(d)
-                split(_pdiv_exact(h, d, p))
-                return
-            a += 1
-
-    split(g)
-    return sorted(roots)
-
-
-def _pdiv_exact(f, g, p):
-    f = list(f)
-    q = [0] * (len(f) - len(g) + 1)
-    inv = pow(g[-1], p - 2, p)
-    for i in range(len(q) - 1, -1, -1):
-        c = f[i + len(g) - 1] * inv % p
-        q[i] = c
-        if c:
-            for j, b in enumerate(g):
-                f[i + j] = (f[i + j] - c * b) % p
-    return _pnorm(q)
-
-
-def _charpoly(mat, p):
-    """Faddeev-LeVerrier over F_p; ascending coefficients, monic."""
-    n = len(mat)
-    a = np.array(mat, dtype=object)
-    eye = np.identity(n, dtype=object)
-    m = eye.copy()
-    coeffs = [1]  # leading
-    for k in range(1, n + 1):
-        m = (a @ m) % p
-        c = (-sum(int(m[i, i]) for i in range(n)) * pow(k, p - 2, p)) % p
-        coeffs.append(c)
-        m = (m + c * eye) % p
-    return coeffs[::-1]
-
-
-def _nullspace(mat, p):
-    """Basis of the right nullspace of mat over F_p: the reduced columns of
-    mat stacked on the identity whose pivots fall in the identity part."""
-    rows, cols = len(mat), len(mat[0])
-    stacked = [[row[j] for row in mat] + [int(i == j) for i in range(cols)] for j in range(cols)]
-    basis, pivots = _column_echelon(stacked, p)
-    return [v[rows:] for v, pr in zip(basis, pivots) if pr >= rows]
-
-
-def _column_echelon(cols, p):
-    """Reduce a list of column vectors; returns (columns, pivot_rows)."""
-    out = []
-    pivots = []
-    for c in cols:
-        c = list(c)
-        for pc, pr in zip(out, pivots):
-            f = c[pr]
-            if f:
-                c = [(x - f * y) % p for x, y in zip(c, pc)]
-        pr = next((i for i, x in enumerate(c) if x % p), None)
-        if pr is None:
-            continue
-        inv = pow(c[pr], p - 2, p)
-        c = [x * inv % p for x in c]
-        for i, (pc, opr) in enumerate(zip(out, pivots)):
-            f = pc[pr]
-            if f:
-                out[i] = [(x - f * y) % p for x, y in zip(pc, c)]
-        out.append(c)
-        pivots.append(pr)
-    return out, pivots
-
+from .cyclo import (
+    Cyclotomic,
+    _coordinates,
+    _distinct_coordinates,
+    _exact_dtype,
+    _monomial_reduction,
+    _pointwise,
+    _product_table,
+    _split_primes,
+    _top,
+)
+from .errors import LengthMismatch, LiftFailure, NonIntegralMultiplicity, TooManyClasses
 
 # ---------------------------------------------------------------------------
 # the table
+
+# Dixon's refinement holds r x r arrays mod p and splits up to r eigenvalues
+# of one class matrix at once; tables with more classes are refused.
+MAX_CLASSES = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,155 +66,266 @@ class CharacterTable:
 def character_table(group):
     """Complete exact character table in canonical row order."""
     class_of = group.class_index_map()
-    _, reps = np.unique(class_of, return_index=True)  # class minima, in class order
-    sizes = np.bincount(class_of).tolist()
+    sizes = np.bincount(class_of)
     r = len(sizes)
-    rep_orders = tables.element_orders(group, reps).tolist()
-    exponent = math.lcm(*rep_orders)
+    if r > MAX_CLASSES:
+        raise TooManyClasses(f"{r} conjugacy classes exceed the character table bound of {MAX_CLASSES}")
+    members = np.argsort(class_of, kind="stable")  # the elements, class by class
+    starts = np.cumsum(sizes) - sizes
+    reps = members[starts]  # class minima
+    powers = _powers(group, reps)
+    rep_orders = np.argmax(powers[1:] == group.unit, axis=0) + 1
+    exponent = math.lcm(*rep_orders.tolist())
     order = group.order
-    p = dixon_prime(order, exponent, max(sizes))
+    # the Dixon prime: the least p = 1 (mod exponent) above the lift safeguard
+    bound = 2 * math.isqrt(order) * int(sizes.max()) + 1
+    p, z_e = next(_split_primes(exponent, (bound // exponent + 1) * exponent))
 
-    # class multiplication constants a[i][j][k] = #{x in C_i : x^-1 z_k in C_j}
-    a = np.zeros((r, r, r), dtype=np.int64)
-    for k, z in enumerate(reps):
-        j = class_of[group.mul(group.inv, z)]
-        a[:, :, k] = np.bincount(class_of * r + j, minlength=r * r).reshape(r, r)
-
-    mats = (a % p).tolist()
-    spaces = _common_eigenlines(mats, p, r)
-    if any(len(cols) != 1 for cols, _ in spaces):
-        raise LiftFailure("class algebra did not split into lines")
-
-    e_idx = 0  # identity class is first in canonical order
-    omegas = []
-    for cols, _ in spaces:
-        w = list(cols[0])
-        if w[e_idx] == 0:
-            raise LiftFailure("eigenvector vanishes at the identity class")
-        inv = pow(w[e_idx], p - 2, p)
-        omegas.append([x * inv % p for x in w])
-
-    inv_class = class_of[group.inv[reps]].tolist()
-    chars_fp = []
-    degrees = []
-    for w in omegas:
-        s = sum(w[j] * w[inv_class[j]] * pow(sizes[j], p - 2, p) for j in range(r)) % p
+    power_map = class_of[powers]  # power_map[l, j]: class of z_j^l
+    lines = _common_eigenlines(group, class_of, members, starts, sizes, rep_orders, power_map, p)
+    if (lines[:, 0] == 0).any():  # the identity class is first in canonical order
+        raise LiftFailure("eigenvector vanishes at the identity class")
+    omegas = lines * np.array([[pow(int(w), p - 2, p)] for w in lines[:, 0]]) % p
+    per_size = omegas * np.array([pow(int(s), p - 2, p) for s in sizes]) % p  # omega_j / |C_j|
+    inverse_class = class_of[group.inv[reps]]
+    sqrt_of = {d * d % p: d for d in range(math.isqrt(order), 0, -1) if order % d == 0}
+    degrees = []  # by eigenline
+    for s in ((per_size * omegas[:, inverse_class] % p).sum(axis=1) % p).tolist():
         d2 = order * pow(s, p - 2, p) % p
         # p > 2 sqrt|G|, so at most one candidate degree squares to d2
-        deg = next(
-            (d for d in range(1, math.isqrt(order) + 1) if d * d % p == d2 and order % d == 0), None
-        )
-        if deg is None:
+        if d2 not in sqrt_of:
             raise LiftFailure(f"no degree dividing |G| squares to {d2} mod p")
-        degrees.append(deg)
-        chars_fp.append([deg * w[j] * pow(sizes[j], p - 2, p) % p for j in range(r)])
-
+        degrees.append(sqrt_of[d2])
     if sum(d * d for d in degrees) != order:
         raise LiftFailure("degree squares do not sum to the group order")
+    deg = np.array(degrees)
+    chars_fp = deg[:, None] * per_size % p
 
-    # lift to exact cyclotomic values
-    g0 = _primitive_root(p)
-    z_e = pow(g0, (p - 1) // exponent, p)
-    powers = [np.full(r, group.unit)]
-    for _ in range(max(rep_orders) - 1):
-        powers.append(group.mul(powers[-1], reps))
-    powmap = [[int(class_of[powers[l][j]]) for l in range(m)] for j, m in enumerate(rep_orders)]
+    # lift to exact cyclotomic values: chi(z_j) = sum_k c_k zeta_m^k, where
+    # c_k, the multiplicity of the eigenvalue zeta_m^k of z_j, is one inverse
+    # DFT over the powers of z_j, batched over the classes of order m
+    values, slots = [], {}
+    index = np.empty((r, r), dtype=np.intp)  # chi_i(z_j) = values[index[i, j]]
+    for m in np.unique(rep_orders).tolist():
+        cols = (rep_orders == m).nonzero()[0]
+        zeta, inv_m = pow(z_e, exponent // m, p), pow(m, p - 2, p)
+        roots = np.array([pow(zeta, -e % m, p) * inv_m % p for e in range(m)])
+        dft = roots[np.outer(np.arange(m), np.arange(m)) % m]
+        mult = _mulmod(chars_fp[:, power_map[:m, cols].T].reshape(-1, m), dft, p)
+        mult = mult.reshape(r, len(cols), m)
+        over = mult > deg[:, None, None]
+        if over.any():
+            i, j, k = np.argwhere(over)[0]
+            raise LiftFailure(f"eigenvalue multiplicity {mult[i, j, k]} exceeds degree {degrees[i]}")
+        mult = mult.reshape(-1, m)
+        coords = mult @ np.array(_monomial_reduction(m)[:m], dtype=np.int64)  # canonical Z[zeta_m]
+        first = {}  # the first row of each distinct value
+        which = [first.setdefault(v.tobytes(), i) for i, v in enumerate(coords)]
+        slot = {i: _value_slot(m, mult[i], values, slots) for i in first.values()}
+        index[:, cols] = np.reshape([slot[i] for i in which], (r, len(cols)))
 
-    rows = []
-    for deg, fvals in zip(degrees, chars_fp):
-        values = []
-        for j in range(r):
-            m = len(powmap[j])
-            zm = pow(z_e, exponent // m, p)
-            minv = pow(m, p - 2, p)
-            coeffs = {}
-            for k in range(m):
-                ck = minv * sum(
-                    fvals[powmap[j][l]] * pow(zm, (-l * k) % (p - 1), p) for l in range(m)
-                ) % p
-                if ck:
-                    if ck > deg:
-                        raise LiftFailure(f"eigenvalue multiplicity {ck} exceeds degree {deg}")
-                    coeffs[k] = Fraction(ck)
-            values.append(Cyclotomic(m, coeffs))
-        rows.append((deg, tuple(values)))
-
-    rows.sort(key=lambda dr: (dr[0], tuple(v.sort_key() for v in dr[1])))
-    one = Cyclotomic.one()
-    triv = next(i for i, (_, vals) in enumerate(rows) if all(v == one for v in vals))
-    rows.insert(0, rows.pop(triv))
+    # canonical row order: (degree, sort keys of the values), trivial row first
+    keys = [v.sort_key() for v in values]
+    index = index.tolist()
+    rows = sorted(range(r), key=lambda i: (degrees[i], [keys[k] for k in index[i]]))
+    one = [v.rational_part() == 1 for v in values]
+    rows.insert(0, rows.pop(next(n for n, i in enumerate(rows) if all(one[k] for k in index[i]))))
 
     table = CharacterTable(
         group=group,
-        classes=tuple((group.element(rep), size) for rep, size in zip(reps, sizes)),
+        classes=tuple((group.element(rep), size) for rep, size in zip(reps, sizes.tolist())),
         class_of=class_of,
         exponent=exponent,
-        degrees=tuple(d for d, _ in rows),
-        chars=tuple(vals for _, vals in rows),
+        degrees=tuple(degrees[i] for i in rows),
+        chars=tuple(tuple(values[k] for k in index[i]) for i in rows),
         dixon_prime=p,
     )
     _certify(table)
     return table
 
 
-def _common_eigenlines(mats, p, r):
-    """Simultaneous eigenspace refinement of commuting matrices over F_p.
+def _value_slot(m, mult, values, slots):
+    """Position in values of sum_k mult[k] zeta_m^k, made a Cyclotomic on its
+    first occurrence.  Equal values are keyed alike: a vector supported on
+    multiples of d is read over zeta_(m/d), the value is keyed by its
+    canonical coordinates there, and a rational value by itself alone."""
+    d = math.gcd(m, *mult.nonzero()[0].tolist())
+    m //= d
+    coords = mult[::d] @ np.array(_monomial_reduction(m)[:m], dtype=np.int64)
+    rational = m == 1 or not coords[1:].any()
+    key = int(coords[0]) if rational else (m, coords.tobytes())
+    if key not in slots:
+        slots[key] = len(values)
+        if rational:
+            values.append(Cyclotomic.rational(key))
+        else:
+            values.append(Cyclotomic(m, dict(enumerate(coords.tolist()))))
+    return slots[key]
 
-    Spaces are kept as (echelonized column basis, pivot rows); the class
-    algebra is semisimple and split, so refinement ends in r lines.
+
+def _mulmod(a, b, p):
+    """a @ b mod p for int64 arrays of residues mod p, exact: the matmul runs
+    in the dtype that ``_exact_dtype`` allows for its sums."""
+    dt = _exact_dtype(a.shape[-1] * p * p)
+    out = np.matmul(a, b, dtype=dt)
+    return (out if dt is object else out.astype(np.int64)) % p
+
+
+def _powers(group, reps):
+    """powers[l, j] = reps[j]^l for l = 0 .. the largest order among reps."""
+    powers = [np.full(len(reps), group.unit), reps]
+    done = reps == group.unit
+    while not done.all():
+        powers.append(group.mul(powers[-1], reps))
+        done |= powers[-1] == group.unit
+    return np.stack(powers)
+
+
+def _common_eigenlines(group, class_of, members, starts, sizes, orders, power_map, p):
+    """The r central characters mod p, one row each, up to scale: simultaneous
+    eigenspace refinement of the class matrices over F_p.  Every array holds
+    residues mod p as int64 (p < 2**31.5, so products of two stay exact).
+
+    A space is a basis (rows) with columns at which it is the identity, so
+    the coordinates of a vector in the space are its entries there.  Class
+    matrices are built one at a time until every space is a line; the class
+    algebra is semisimple and split mod p, so refinement ends in r lines.
+    The eigenvalues of the matrix of C_i are |C_i| chi(z_i) / chi(1), below
+    |C_i| in absolute value; on a rational class (z_i ~ z_i^k for every k
+    prime to its order) they are integers, so only those few are candidates.
     """
-    eye = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
-    spaces = [_column_echelon(eye, p)]
-    for m in mats:
-        if all(len(cols) == 1 for cols, _ in spaces):
+    r = len(sizes)
+    reps = members[starts]
+    spaces = [(np.eye(r, dtype=np.int64), np.arange(r))]
+    for i in range(1, r):
+        if len(spaces) == r:
             break
+        # T[k, j] = #{x in C_i : x^-1 z_k in C_j}; the central characters are
+        # its left eigenvectors, omega T = omega(C_i) omega
+        xs = members[starts[i]:starts[i] + sizes[i]]
+        js = class_of[group.mul(group.inv[xs][:, None], reps[None, :])]
+        T = np.bincount((np.arange(r) * r + js).ravel(), minlength=r * r).reshape(r, r) % p
+        n = orders[i]
+        rational = all(power_map[k, i] == i for k in range(2, n) if math.gcd(k, n) == 1)
+        candidates = np.arange(-sizes[i], sizes[i] + 1)[:p] % p if rational else np.arange(p)
         refined = []
-        for cols, pivot_rows in spaces:
-            d = len(cols)
-            if d == 1:
-                refined.append((cols, pivot_rows))
+        for basis, cols in spaces:
+            if len(basis) == 1:
+                refined.append((basis, cols))
                 continue
-            images = [
-                tuple(sum(m[i][k] * c[k] for k in range(r)) % p for i in range(r))
-                for c in cols
-            ]
-            # coordinates in the echelon basis read off at the pivot rows
-            op = [[images[j][pivot_rows[i]] for j in range(d)] for i in range(d)]
-            for j in range(d):
-                recon = [sum(op[s][j] * cols[s][t] for s in range(d)) % p for t in range(r)]
-                if list(images[j]) != recon:
-                    raise LiftFailure("subspace not invariant under class sum")
-            for lam in _proots(_charpoly(op, p), p):
-                shifted = [
-                    [(op[i][j] - (lam if i == j else 0)) % p for j in range(d)]
-                    for i in range(d)
-                ]
-                lifted = []
-                for coords in _nullspace(shifted, p):
-                    lifted.append(
-                        tuple(sum(coords[s] * cols[s][t] for s in range(d)) % p for t in range(r))
-                    )
-                if lifted:
-                    refined.append(_column_echelon(lifted, p))
+            images = _mulmod(basis, T, p)
+            op = images[:, cols]
+            if (_mulmod(op, basis, p) != images).any():
+                raise LiftFailure("subspace not invariant under class sum")
+            for rows, pivots in _eigenspaces(op, p, candidates):
+                refined.append((_mulmod(rows, basis, p), cols[pivots]))
         spaces = refined
-    return spaces
+    if len(spaces) != r or any(len(basis) != 1 for basis, _ in spaces):
+        raise LiftFailure("class algebra did not split into lines")
+    return np.concatenate([basis for basis, _ in spaces])
+
+
+def _eigenspaces(op, p, candidates):
+    """Row-echelon bases (rows, pivots) of the left eigenspaces of op, a
+    diagonalizable matrix over F_p whose eigenvalues lie among the distinct
+    candidates.
+
+    The eigenvalues are the roots of the characteristic polynomial, found by
+    evaluating it at every candidate.  The projector onto the
+    lambda_i-eigenspace is l_i(op) for the Lagrange polynomial l_i, of degree
+    below the number of eigenvalues, with l_i(lambda_j) = delta_ij; its rows
+    span the space.
+    """
+    d = len(op)
+    if (op == op[0, 0] * np.eye(d, dtype=np.int64)).all():  # one eigenvalue: no split
+        return [(np.eye(d, dtype=np.int64), np.arange(d))]
+    # Horner's rule at every candidate, reduced every k steps: p**(k+1) < 2**62
+    at = np.zeros(len(candidates), dtype=np.int64)
+    k = max(1, 62 // p.bit_length() - 1)
+    for n, c in enumerate(reversed(_characteristic_polynomial(op, p)), 1):
+        at *= candidates
+        at += c
+        if n % k == 0:
+            at %= p
+    lams = candidates[at % p == 0]
+    s = len(lams)
+    # lagrange[i, k]: coefficient of x^k in l_i, the inverse of vander[k, i] = lams[i]^k
+    vander = np.array([[pow(lam, k, p) for lam in lams.tolist()] for k in range(s)])
+    lagrange = rings._echelon(np.concatenate([vander, np.eye(s, dtype=np.int64)], axis=1), p)[0][:, s:]
+    powers = [np.eye(d, dtype=np.int64), op]  # op is no scalar, so s >= 2
+    for _ in range(s - 2):
+        powers.append(_mulmod(powers[-1], op, p))
+    projectors = _mulmod(lagrange, np.stack(powers).reshape(s, d * d), p).reshape(s, d, d)
+    return [rings._echelon(proj, p) for proj in projectors]
+
+
+def _characteristic_polynomial(a, p):
+    """Ascending coefficients of det(x - a) over F_p, for any size and p:
+    a is reduced to upper Hessenberg form h by similarity, and then
+    det(x - h) follows from the leading principal minors of x - h."""
+    h = a.copy()
+    d = len(h)
+    for j in range(d - 2):
+        nonzero = np.flatnonzero(h[j + 1:, j])
+        if not nonzero.size:
+            continue
+        i = j + 1 + nonzero[0]
+        h[[i, j + 1]] = h[[j + 1, i]]
+        h[:, [i, j + 1]] = h[:, [j + 1, i]]
+        u = h[j + 2:, j] * pow(int(h[j + 1, j]), p - 2, p) % p
+        h[j + 2:] = (h[j + 2:] - np.outer(u, h[j + 1])) % p
+        h[:, j + 1] = (h[:, j + 1] + _mulmod(h[:, j + 2:], u, p)) % p
+    minors = np.zeros((d + 1, d + 1), dtype=np.int64)  # minors[k]: the leading k x k minor
+    minors[0, 0] = 1
+    chain = np.zeros(0, dtype=np.int64)  # chain[i] = h[i+1, i] h[i+2, i+1] .. h[k, k-1]
+    for k in range(d):  # expand along column k
+        minors[k + 1, 1:] = minors[k, :-1]
+        minors[k + 1] -= h[k, k] * minors[k]
+        if k:
+            chain = np.append(chain, 1) * h[k, k - 1] % p
+            minors[k + 1] -= _mulmod(h[:k, k] * chain % p, minors[:k], p)
+        minors[k + 1] %= p
+    return minors[d].tolist()
 
 
 def _certify(table):
     """Exact row orthogonality, sum_j |C_j| chi_i(j) conj(chi_k(j)) = |G| delta_ik,
-    and degree checks; LiftFailure on any miss."""
+    and degree checks; LiftFailure on any miss.
+
+    Both sides are compared at every embedding zeta_m -> w^k, gcd(k, m) = 1,
+    of Z[zeta_m] into F_q, for primes q = 1 (mod m) whose product exceeds
+    twice the bound on the coordinates of their difference.  A coordinate
+    vector that small whose images all vanish is zero, so the comparison is
+    exact; it costs phi(m) r^3 per prime, not the phi(m)^2 r^3 of products
+    taken in coordinates.
+    """
     r = table.num_classes
-    m, scale, X = _coordinates(table.chars)
-    bar = _coordinates([[v.conjugate() for v in row] for row in table.chars])[2]
-    sizes = np.array([s for _, s in table.classes])  # |C_j| <= |G|: the products fit int64
-    gram = _inner(X * sizes[:, None], bar, m)  # [i, k, c]
-    want = np.zeros_like(gram)
-    want[np.arange(r), np.arange(r), 0] = scale * scale * table.group.order
-    bad = np.argwhere((gram != want).any(axis=2))
-    if bad.size:
-        i, k = bad[0].tolist()
+    m, scale, codes, index = _distinct_coordinates(table.chars)
+    phi = codes.shape[1]
+    order = table.group.order
+    sizes = np.array([s for _, s in table.classes])
+    target = scale * scale * order
+    # a conjugate's coordinates are sums of phi coordinates times entries of red
+    red = np.array(_monomial_reduction(m)[:m], dtype=np.int64)
+    bound = 2 * (order * phi**3 * _top(codes) ** 2 * _top(red) * _top(_product_table(m)) + target)
+    units = [k for k in range(m) if math.gcd(k, m) == 1]  # ascending: -k is the mirror image of k
+    primes = _split_primes(m, min(bound, 1 << 16))  # r q^2 < 2**53: BLAS matmuls
+    wrong = np.zeros((r, r), dtype=bool)
+    modulus = 1
+    while modulus <= bound:
+        q, w = next(primes)
+        at = np.array([[pow(w, a * k, q) for k in units] for a in range(phi)])  # zeta_m^a at zeta_m -> w^k
+        images = _mulmod(codes % q, at, q)[index]  # [i, j, e]; a conjugate's image at e is at phi - 1 - e
+        left = images * sizes[:, None] % q
+        gram = _mulmod(left.transpose(2, 0, 1), images[:, :, ::-1].transpose(2, 1, 0), q)  # [e, i, k]
+        gram[:, range(r), range(r)] -= target % q
+        wrong |= (gram % q != 0).any(axis=0)
+        modulus *= q
+    if wrong.any():
+        i, k = np.argwhere(wrong)[0].tolist()
         raise LiftFailure(f"row orthogonality failed at ({i},{k})")
-    if (X[:, 0, 0] != scale * np.array(table.degrees)).any() or X[:, 0, 1:].any():
+    first = codes[index[:, 0]]  # the identity class
+    if (first[:, 0] != scale * np.array(table.degrees)).any() or first[:, 1:].any():
         raise LiftFailure("degree column mismatch")
 
 

@@ -27,6 +27,7 @@ from .errors import (
     NotAutomorphism,
     NotExactFactorization,
     SearchBudgetExceeded,
+    TooManyClasses,
     WorkbenchError,
 )
 from .perms import (
@@ -305,7 +306,7 @@ def main(argv=None):
     command = "fusionrings " + " ".join(argv)
     try:
         return args.fn(args, command)
-    except (SearchBudgetExceeded, ClosureTooLarge) as exc:
+    except (SearchBudgetExceeded, ClosureTooLarge, TooManyClasses) as exc:
         print(f"error: budget: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, NotExactFactorization, NotAutomorphism) as exc:

@@ -19,7 +19,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -41,7 +41,7 @@ def _prime_divisors(n):
 
 
 def _is_prime(n):
-    return n >= 2 and _prime_divisors(n) == [n]
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _phi(n):
@@ -58,6 +58,16 @@ def _primitive_root(p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
             return g
         g += 1
+
+
+def _split_primes(m, above):
+    """(p, w) for each prime p = 1 (mod m) above ``above``, in increasing
+    order, with w = g^((p-1)/m) of order m for the least primitive root g."""
+    p = above // m * m + 1
+    while True:
+        if p > above and _is_prime(p):
+            yield p, pow(_primitive_root(p), (p - 1) // m, p)
+        p += m
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +194,16 @@ def _coordinates(rows):
     L * rows[i][j], m the lcm of the conductors and L the least common
     denominator of every coefficient; X is int64 when the encoding's sums
     stay below 2**63, else Python ints."""
-    values = list(chain.from_iterable(rows))
+    m, scale, coords, index = _distinct_coordinates(rows)
+    return m, scale, coords[index]
+
+
+def _distinct_coordinates(rows):
+    """(m, L, C, index): as :func:`_coordinates`, with each value object
+    encoded once, however often the rows repeat it; X = C[index]."""
+    distinct = {}
+    index = [[distinct.setdefault(id(v), (len(distinct), v))[0] for v in row] for row in rows]
+    values = [v for _, v in distinct.values()]
     m = lcm(*(v.conductor for v in values))
     scale = lcm(*(c.denominator for v in values for c in v.coeffs.values()))
     codes = [[0] * m for _ in values]  # on zeta_m^0 .. zeta_m^(m-1), not yet reduced
@@ -195,7 +214,7 @@ def _coordinates(rows):
     top = max(map(abs, chain.from_iterable(codes)), default=0) * m * _top(red)
     dt = np.int64 if top < 2**63 else object
     coords = np.array(codes, dtype=dt).reshape(-1, m) @ red.astype(dt)
-    return m, scale, coords.reshape(len(rows), -1, coords.shape[1])
+    return m, scale, coords, np.array(index, dtype=np.intp).reshape(len(rows), -1)
 
 
 @lru_cache(maxsize=None)

@@ -47,7 +47,9 @@ def dumps(doc):
 
 def loads(text):
     doc = json.loads(text)
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a document is a JSON object, not {type(doc).__name__}")
+    if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported document schema: {doc.get('schema_version')!r}")
     if doc.get("kind") not in KINDS:
         raise ValueError(f"unknown document kind {doc.get('kind')!r}")

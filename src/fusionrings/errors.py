@@ -9,6 +9,10 @@ class ClosureTooLarge(WorkbenchError):
     """Group closure exceeded the configured element cap."""
 
 
+class TooManyClasses(WorkbenchError):
+    """A character table was asked for more classes than its work bound."""
+
+
 class LiftFailure(WorkbenchError):
     """Character-table modular lift could not be certified."""
 

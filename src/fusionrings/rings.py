@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tables
-from .cyclo import _exact_dtype, _is_prime, _prime_divisors, _primitive_root, _top
+from .cyclo import _exact_dtype, _prime_divisors, _split_primes, _top
 from .errors import AxiomViolation, GradingInconsistent, NoPositiveEigenvector, NonIntegralMultiplicity
 
 
@@ -186,34 +186,36 @@ def _solving_prime(X, m, dims):
     which X is invertible, the powers zeta_m^k mod p for k < phi(m), and the
     inverse of X mod p; the arrays are in the dtype exact for the sums mod p."""
     n, phi = X.shape[0], X.shape[2]
-    bound = 2 * max(d * d for d in dims)
-    p = bound // m * m + 1
-    while True:
-        if p > bound and _is_prime(p):
-            dt = _exact_dtype(max(n, phi) * p * p)
-            omega = pow(_primitive_root(p), (p - 1) // m, p)
-            powers = np.array([pow(omega, k, p) for k in range(phi)], dtype=dt)
-            inverse = _inverse_mod((X % p).astype(dt) @ powers % p, p)
-            if inverse is not None:
-                return p, powers, inverse
-        p += m
+    for p, omega in _split_primes(m, 2 * max(d * d for d in dims)):
+        dt = _exact_dtype(max(n, phi) * p * p)
+        powers = np.array([pow(omega, k, p) for k in range(phi)], dtype=dt)
+        X_p = (X % p).astype(dt) @ powers % p
+        # X_p is invertible iff the echelon form of [X_p | I] has every pivot in X_p
+        rows, pivots = _echelon(np.concatenate([X_p, np.eye(n, dtype=dt)], axis=1), p)
+        if pivots[-1] < n:
+            return p, powers, rows[:, n:]
 
 
-def _inverse_mod(a, p):
-    """Inverse of the square matrix a (entries in [0, p)) over F_p by
-    Gauss-Jordan on [a | I]; None when a is singular mod p."""
-    n = len(a)
-    aug = np.concatenate([a, np.eye(n, dtype=a.dtype)], axis=1)
-    for col in range(n):
-        nonzero = np.flatnonzero(aug[col:, col])
-        if not nonzero.size:
-            return None
-        pivot = col + nonzero[0]
-        aug[[col, pivot]] = aug[[pivot, col]]
-        row = aug[col] * pow(int(aug[col, col]), -1, p) % p
-        aug = (aug - np.outer(aug[:, col], row)) % p  # clears the pivot row too
-        aug[col] = row
-    return aug[:, n:]
+def _echelon(a, p):
+    """(rows, pivots): the nonzero rows of the reduced row echelon form of a
+    (entries in [0, p)) over F_p, by Gauss-Jordan, and their pivot columns;
+    int64 while products of two entries fit it."""
+    a = a.astype(np.int64) if p * p < 2**63 else a.copy()
+    pivots, col = [], 0
+    for top in range(len(a)):
+        live = a[top:, col:].any(axis=0).nonzero()[0]
+        if not live.size:
+            break
+        col += int(live[0])
+        pivot = top + int(a[top:, col].nonzero()[0][0])
+        a[[top, pivot]] = a[[pivot, top]]
+        row = a[top] * pow(int(a[top, col]), -1, p) % p
+        a -= np.multiply.outer(a[:, col], row)  # clears the pivot row too
+        a %= p
+        a[top] = row
+        pivots.append(col)
+        col += 1
+    return a[:len(pivots)], pivots
 
 
 def _certify_decomposition(X, products, N):

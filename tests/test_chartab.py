@@ -1,14 +1,17 @@
 """Character tables against orthogonality oracles and known degree multisets."""
 
+import hashlib
+
 import pytest
 
-from fusionrings import rings
+from fusionrings import docs, rings
 from fusionrings.chartab import (
     character_table,
     inner_product,
     irrep_matrices,
     rep_g_fusion_ring,
 )
+from fusionrings.cli import parse_group_spec
 from fusionrings.cyclo import Cyclotomic, root_of_unity
 from fusionrings.errors import LengthMismatch
 from fusionrings.perms import (
@@ -254,3 +257,31 @@ def test_certify_rejects_broken_tables_with_the_same_messages():
     degrees = (1, 3, 3, 5, 4)
     with pytest.raises(LiftFailure, match="degree column mismatch"):
         _certify(dataclasses.replace(table, degrees=degrees))
+
+
+# sha256 of the canonical chartab payload (docs.dumps) and the Dixon prime,
+# recorded before the table moved onto F_p arrays
+PINNED_TABLES = [
+    ("C60", "C60", 61, "40676672b71db1ba336c7c1007102f1123d6d8efe60d85809e359875ec95e551"),
+    ("C12", "C12", 13, "1e56195309a21fb17ef79e141f98ce4ad6985970a97306af95b841fd087cd537"),
+    ("Q8", "custom:8:(1 2 3 4)(5 6 7 8)|(1 5 3 7)(2 8 4 6)", 13,
+     "68eab9ef66b84c819af49ee5befe0c2b7bf50204ef0a4108f8a274b96af40117"),
+    ("F21", "custom:7:(1 2 3 4 5 6 7)|(2 3 5)(4 7 6)", 127,
+     "7673a4a4ed70484bb0872198b66f15bd0aa9cc126154e56606d6cc6da6f53a37"),
+    ("PSL(2,7)", "custom:8:(1 2 3 4 5 6 7)|(2 3 5)(4 7 6)|(1 8)(2 7)(3 4)(5 6)", 1429,
+     "dcf0163c1c00ec0d2da10e697567b2d6819bee08331110dbbb23c16d59e9b2b2"),
+    ("AGL(1,8)", "custom:8:(1 2)(3 4)(5 6)(7 8)|(2 3 5 4 7 8 6)", 127,
+     "d5b55fc9c166400d1e25f05b7066a132e760dd536b2e5a2b99d16c6a8dae71ef"),
+    ("A5 conjugated", "custom:5:(2 5 4)|(3 1 5 2 4)", 331,
+     "2a9db3cb071ff67b4ba08c92c4a6bd78eebd5fe2bb640be08d670888ec71bf5c"),
+    ("F21 conjugated", "custom:7:(3 6 1 5 2 7 4)|(6 1 2)(5 4 7)", 127,
+     "8ba87829fa72fab993a17f9d9ac32f9172c69d158d73666b335b17e523a6226e"),
+]
+
+
+@pytest.mark.parametrize("spec, prime, digest", [case[1:] for case in PINNED_TABLES],
+                         ids=[case[0] for case in PINNED_TABLES])
+def test_chartab_payloads_are_pinned(spec, prime, digest):
+    table = character_table(parse_group_spec(spec))
+    assert table.dixon_prime == prime
+    assert hashlib.sha256(docs.dumps(docs.chartab_payload(table)).encode()).hexdigest() == digest

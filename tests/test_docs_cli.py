@@ -2,11 +2,12 @@
 
 import subprocess
 import sys
+import time
 
 import pytest
 
 from fusionrings import docs, rings
-from fusionrings.chartab import character_table, rep_g_fusion_ring
+from fusionrings.chartab import MAX_CLASSES, character_table, rep_g_fusion_ring
 from fusionrings.cli import main, parse_group_spec
 from fusionrings.doubles import double_modular_data
 from fusionrings.perms import symmetric_group
@@ -437,3 +438,37 @@ def test_cli_malformed_pair_documents_are_usage_errors(tmp_path, breaker):
     bad.write_text(docs.dumps(doc))
     for flags in ([], ["--ring"], ["--dual-invertibles"]):
         assert run_cli(["bicross", str(bad), *flags])[0] == 2
+
+
+@pytest.mark.parametrize("text", ["[1,2]", '"x"', "3", "null"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "@"],
+        ["equiv", "@", "@"],
+        ["sequiv", "@", "@"],
+        ["verlinde", "@"],
+        ["bicross", "@", "--type"],
+        ["bicross", "@", "--ring"],
+        ["bicross", "@", "--dual-invertibles"],
+    ],
+    ids=lambda c: " ".join(c),
+)
+def test_cli_non_object_documents_are_usage_errors(tmp_path, capsys, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = [str(path) if a == "@" else a for a in command]
+    assert run_cli(argv)[0] == 2
+    first = command.index("@")  # the same input piped to the first document argument
+    assert run_cli(argv[:first] + ["-"] + argv[first + 1:], stdin=text)[0] == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_chartab_refuses_too_many_classes_quickly(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(["chartab", f"C{MAX_CLASSES + 1}"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert f"{MAX_CLASSES + 1} conjugacy classes" in err and str(MAX_CLASSES) in err
+    assert run_cli(["chartab", f"C{MAX_CLASSES}"])[0] == 0

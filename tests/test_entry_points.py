@@ -88,6 +88,29 @@ def test_tracer_puts_the_decomposition_kernel_in_its_callers_buckets(tmp_path):
     assert "rings.other" not in tracer.self_time
 
 
+def test_tracer_puts_the_whole_table_in_chartab_table():
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["chartab", "C60"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    st = tracer.self_time
+    assert st["chartab.table"] > 0
+    assert "rings.other" not in st and "cyclo.ops" not in st
+    # every helper of the table is private: the only traced call inside it
+    # reads the group's class map, so cyclo.other comes only from the
+    # document boundary
+    spans = tracer.span_records()
+    name = {s["id"]: s["name"] for s in spans}
+    table = {s["id"] for s in spans if s["name"] == "chartab.character_table"}
+    assert len(table) == 1
+    assert {s["name"] for s in spans if s["parent"] in table} <= {"perms.PermGroup.class_index_map"}
+    assert {name[s["parent"]] for s in spans if s["name"].startswith("cyclo.")} <= {"docs.chartab_payload"}
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
 def test_demo_exits_cleanly(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
