@@ -5,19 +5,21 @@ Irreducibles are indexed by (F-orbit on Gamma, irreducible of the stabilizer);
 their characters live on the basis {e_t # y}, products of characters follow
 the comultiplication sum over factorizations g*h = t in Gamma.  Fusion
 multiplicities are solved and certified by the decomposition kernel of
-``rings`` at n pivot columns (t, y) where an exact echelon shows the simple
-characters independent.
+``rings`` at n pivot columns (t, y): the first at which the echelon form of
+the characters' integer coordinates over F_p, at the kernel's prime, shows
+them independent, which proves them independent over Q(zeta_m).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rings, tables
-from .chartab import _cyclo_column_echelon, character_table, irrep_matrices
-from .cyclo import Cyclotomic, _coordinates, _inner
+from .chartab import _mulmod, character_table
+from .cyclo import _coordinates, _inner, _split_primes
 from .errors import (
     GroupLawFailure,
     NonIntegralMultiplicity,
@@ -165,32 +167,6 @@ class ExtIrrep:
     def dim(self):
         return len(self.coset_reps) * self.stab_degree
 
-    def module_matrices(self, mp):
-        """Explicit action matrices: weight vector for the idempotents e_t and
-        a matrix for each 1 # y, on the basis (coset rep) x (stab irrep basis)."""
-        umats = irrep_matrices(self.stab_table, self.stab_row)
-        d = self.stab_degree
-        c = len(self.coset_reps)
-        f = mp.f
-        xs = [f.index_of(x) for x in self.coset_reps]
-        stab = f.index_rows(self.stabilizer.images)
-        coset_of = np.empty(f.order, dtype=np.intp)
-        for i, x in enumerate(xs):
-            coset_of[f.mul(x, stab)] = i
-        mats = {}
-        zero = Cyclotomic.zero()
-        for y, y_el in enumerate(f.elements):
-            mat = [[zero] * (c * d) for _ in range(c * d)]
-            for i, x in enumerate(xs):
-                yx = f.mul(y, x)
-                j = coset_of[yx]
-                u = umats[f.element(f.mul(f.inv[xs[j]], yx))]
-                for a in range(d):
-                    for b in range(d):
-                        mat[j * d + a][i * d + b] = u[a][b]
-            mats[y_el] = tuple(tuple(r) for r in mat)
-        return self.weights, mats
-
 
 def split_irreps(mp, cocycles=None):
     """All irreducibles of k^Gamma # kF in canonical order (unit first).
@@ -253,111 +229,110 @@ def _split_system(mp, irreps):
     """(X, products, m): the simple characters X[z][k] and their products
     products(x)[y][k] at n pivot columns (t_k, y_k), as Z[zeta_m]
     coordinates, m the lcm of the stabilizer character conductors."""
-    n = len(irreps)
+    m, chi = _characters(mp, irreps)
+    n, n_gamma, n_f, phi = chi.shape
+    t, y = np.divmod(_pivot_cells(chi, m, [w.dim for w in irreps]), n_f)
+    # A[k, i, h] = chi_i(e_{t_k h^-1} # (h |> y_k)); B[k, j, h] = chi_j(e_h # y_k)
+    g = mp.gamma.mul(t[:, None], mp.gamma.inv[None, :])
+    y2 = mp.rtab[:, y].T
+    # products[k, x, y] = sum over h of A[k, x, h] B[k, y, h]
+    products = np.empty((n, n, n, phi), dtype=np.int64)
+    step = max(1, 2**20 // (n * n_gamma * phi))  # pivots per gather: at most 2**20 entries
+    for k in range(0, n, step):
+        a = np.moveaxis(chi[:, g[k:k + step], y2[k:k + step]], 0, 1)
+        b = np.moveaxis(chi[:, :, y[k:k + step]], 2, 0)
+        products[k:k + step] = _inner(a, b, m)
+    return chi[:, t, y], lambda x: products[:, x].swapaxes(0, 1), m
+
+
+def _characters(mp, irreps):
+    """(m, chi): chi[i, t, y] holds the Z[zeta_m] coordinates of the simple
+    character i at e_t # y (t in Gamma, y in F), m the lcm of the stabilizer
+    character conductors."""
     f, gamma = mp.f, mp.gamma
-    n_gamma, n_f = gamma.order, f.order
     characters = [w.stab_table.chars[w.stab_row] for w in irreps]
     # character values are algebraic integers, so no common denominator
     m, _, codes = _coordinates([[v for values in characters for v in values]])
     starts = np.cumsum([0] + [len(values) for values in characters])
-
-    # per-irrep sparse characters: orbit element index -> (n_f, phi(m)) coordinates
-    every_y = np.arange(n_f)
-    chi_int = []
-    chi_cyc = []
-    for w, values, start in zip(irreps, characters, starts):
-        live = np.array([not v.is_zero() for v in values] + [False])
-        # class of each F-element in the stabilizer; -1 (a dead class) outside
-        class_in_f = np.full(n_f, -1, dtype=np.intp)
-        class_in_f[f.index_rows(w.stabilizer.images)] = w.stab_table.class_of
-        rows = {}
-        vals = {}
-        for xi, t in zip(w.coset_reps, w.weights):
-            x, t = f.index_of(xi), gamma.index_of(t)
-            cls = class_in_f[f.mul(f.mul(f.inv[x], every_y), x)]  # class of x^-1 y x
-            block = np.zeros((n_f, codes.shape[2]), dtype=np.int64)
-            hit = np.flatnonzero(live[cls])
-            block[hit] = codes[0, start + cls[hit]]
-            for yi in hit.tolist():
-                vals[(t, yi)] = values[cls[yi]]
-            rows[t] = block
-        chi_int.append(rows)
-        chi_cyc.append(vals)
-
-    # pivot columns: greedily select (t, y) columns keeping the n x n system invertible
-    pivots = _select_pivot_columns(chi_cyc, n, n_gamma, n_f)
-    # t h^-1 for every h, per pivot weight t
-    t_over = {t: gamma.mul(t, gamma.inv).tolist() for t in {t for t, _ in pivots}}
-
-    x_canon = np.zeros((n, n, codes.shape[2]), dtype=np.int64)
-    products = []
-    for k, (t_i, y_i) in enumerate(pivots):
-        # A[i, h] = chi_i(e_{t h^-1} # (h |> y)); B[j, h] = chi_j(e_h # y)
-        a = np.zeros((n, n_gamma, codes.shape[2]), dtype=np.int64)
-        b = np.zeros_like(a)
-        for h in range(n_gamma):
-            g = t_over[t_i][h]
-            y2 = mp.rtab[h, y_i]
-            for i in range(n):
-                blk = chi_int[i].get(g)
-                if blk is not None:
-                    a[i, h] = blk[y2]
-                blk = chi_int[i].get(h)
-                if blk is not None:
-                    b[i, h] = blk[y_i]
-        x_canon[:, k] = b[:, t_i]
-        products.append(_inner(a, b, m))  # sum over h of A[i, h] B[j, h]
-    return x_canon, lambda x: np.stack([block[x] for block in products], axis=1), m
+    chi = np.zeros((len(irreps), gamma.order, f.order, codes.shape[2]), dtype=np.int64)
+    every_y = np.arange(f.order)
+    orbits = {}  # orbit representative -> its weights, and the stabilizer class of each x^-1 y x
+    for i, w in enumerate(irreps):
+        if w.orbit_rep not in orbits:
+            # -1, a dead class, outside the stabilizer
+            class_in_f = np.full(f.order, -1, dtype=np.intp)
+            class_in_f[f.index_rows(w.stabilizer.images)] = w.stab_table.class_of
+            x = np.array([f.index_of(xi) for xi in w.coset_reps])
+            t = np.array([gamma.index_of(ti) for ti in w.weights])
+            orbits[w.orbit_rep] = t, class_in_f[f.mul(f.mul(f.inv[x][:, None], every_y), x[:, None])]
+        t, classes = orbits[w.orbit_rep]
+        # the irrep's class values, then 0 for the dead class
+        values = np.concatenate([codes[0, starts[i]:starts[i + 1]], np.zeros_like(codes[0, :1])])
+        chi[i, t] = values[classes]
+    return m, chi
 
 
-def _select_pivot_columns(chi_cyc, n, n_gamma, n_f):
-    zero = Cyclotomic.zero()
-    cells = [
-        (t_i, y_i)
-        for t_i in range(n_gamma)
-        for y_i in range(n_f)
-        if any((t_i, y_i) in vals for vals in chi_cyc)
-    ]
-    cols = ([vals.get(cell, zero) for vals in chi_cyc] for cell in cells)
-    pivots = []
-    for pos, _, _ in _cyclo_column_echelon(cols):
-        pivots.append(cells[pos])
+def _pivot_cells(chi, m, dims):
+    """The n cells t * |F| + y, first in row-major order, at which the n
+    simple characters chi (n, Gamma, F, phi(m)) are independent over
+    Q(zeta_m): the pivot columns of their echelon form over F_p, under
+    zeta_m -> w, at the decomposition kernel's primes p = 1 (mod m).
+
+    Rank n mod p proves the pivot columns independent, since a minor that is
+    nonzero mod p is nonzero.  Characters independent over Q(zeta_m) have a
+    nonzero n x n minor D, and every prime at which their rank drops divides
+    its norm, of absolute value at most prod_i (sqrt(n) d_i)^phi(m) (the
+    values of simple i are at most d_i in absolute value); once the primes
+    tried multiply past that bound the characters are dependent.
+    """
+    n, phi = len(chi), chi.shape[-1]
+    flat = chi.reshape(n, -1, phi)
+    cells = np.flatnonzero(flat.any(axis=(0, 2)))  # a zero column is never a pivot
+    flat = flat[:, cells]
+    bound_sq = (n**n * math.prod(d * d for d in dims)) ** phi
+    failed, rank = 1, 0
+    for p, w in _split_primes(m, 2 * max(d * d for d in dims)):
+        powers = np.array([pow(w, k, p) for k in range(phi)], dtype=np.int64)
+        pivots = rings._echelon(_mulmod(flat % p, powers, p), p)[1]
         if len(pivots) == n:
-            return pivots
-    raise SingularCharacterSystem(f"only {len(pivots)} independent character columns")
+            return cells[pivots]
+        failed, rank = failed * p, max(rank, len(pivots))
+        if failed * failed > bound_sq:
+            raise SingularCharacterSystem(f"only {rank} independent character columns")
 
 
 def dual_invertibles(mp):
     """The invertibles of Rep(k^Gamma # kF): one-dimensional F-characters
-    extended by the <|-fixed points of Gamma (split case)."""
+    extended by the <|-fixed points of Gamma (split case).
+
+    The characters are compared and multiplied as residues mod an odd prime
+    p = 1 (mod m), m the lcm of their conductors, where the roots of unity
+    of Q(zeta_m) stay distinct."""
     f, gamma = mp.f, mp.gamma
     table_f = character_table(f)
-    class_of = table_f.class_of.tolist()
-    chars = [
-        tuple(table_f.chars[r][c] for c in class_of)
-        for r in range(table_f.num_classes)
-        if table_f.degrees[r] == 1
-    ]
-    char_pos = {c: i for i, c in enumerate(chars)}
-    fixed = np.flatnonzero((mp.ltab == np.arange(gamma.order)[:, None]).all(axis=1)).tolist()
-    fixed_pos = {s: i for i, s in enumerate(fixed)}
-
-    def act(s, char):
-        return tuple(char[x] for x in mp.dual_ltab[:, s].tolist())
-
-    elements = [(ci, si) for ci in range(len(chars)) for si in range(len(fixed))]
-    pos = {e: i for i, e in enumerate(elements)}
-    k = len(elements)
-    table = [[0] * k for _ in range(k)]
-    for i, (ci, si) in enumerate(elements):
-        for j, (cj, sj) in enumerate(elements):
-            moved = act(fixed[si], chars[cj])
-            prod_char = tuple(a * b for a, b in zip(chars[ci], moved))
-            s_new = int(gamma.mul(fixed[si], fixed[sj]))
-            table[i][j] = pos[(char_pos[prod_char], fixed_pos[s_new])]
+    linear = [table_f.chars[r] for r in range(table_f.num_classes) if table_f.degrees[r] == 1]
+    m, _, codes = _coordinates(linear)
+    p, w = next(_split_primes(m, 2))
+    powers = np.array([pow(w, k, p) for k in range(codes.shape[2])], dtype=np.int64)
+    chars = _mulmod(codes % p, powers, p)[:, table_f.class_of]  # [c, x]
+    fixed = np.flatnonzero((mp.ltab == np.arange(gamma.order)[:, None]).all(axis=1))
+    fixed_pos = np.full(gamma.order, -1)
+    fixed_pos[fixed] = np.arange(len(fixed))
+    # chars[ci] times the action of fixed[si] on chars[cj], x -> chars[cj][x <|' s]
+    moved = chars[:, mp.dual_ltab[:, fixed].T]  # [cj, si, x]
+    products = chars[:, None, None] * moved[None] % p  # [ci, cj, si, x]
+    rows = np.concatenate([chars, products.reshape(-1, f.order)])
+    _, ids = np.unique(rows, axis=0, return_inverse=True)
+    char_of = np.full(len(rows), -1)
+    char_of[ids[:len(chars)]] = np.arange(len(chars))
+    product_char = char_of[ids[len(chars):]].reshape(len(chars), len(chars), len(fixed))  # [ci, cj, si]
+    s_new = fixed_pos[gamma.mul(fixed[:, None], fixed[None, :])]  # [si, sj]
+    # element (c, s) sits at c * |fixed| + s
+    table = product_char.transpose(0, 2, 1)[:, :, :, None] * len(fixed) + s_new[None, :, None, :]
+    table = table.reshape(len(chars) * len(fixed), -1).tolist()
     tables.check_table(table)
     return DualInvertibles(
-        order=k,
+        order=len(table),
         table=tuple(map(tuple, table)),
         name=tables.iso_name(table),
         center_order=len(tables.center(table)),

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from . import rings, tables
+from . import rings
 from .cyclo import (
     Cyclotomic,
     _coordinates,
@@ -363,114 +361,3 @@ def rep_g_fusion_ring(table):
     if not (dims.exact and dims.dims == table.degrees):
         raise NonIntegralMultiplicity("ring dimensions disagree with character degrees")
     return ring
-
-
-# ---------------------------------------------------------------------------
-# explicit irreducible matrices (used for induced-module constructions)
-
-
-@lru_cache(maxsize=None)
-def _all_subgroups(group):
-    """Every subgroup as a sorted index tuple, largest first."""
-    cyclic = {frozenset(tables.closure(group, [g]).tolist()) for g in range(group.order)}
-    found = set(cyclic)
-    frontier = set(cyclic)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in cyclic:
-                if b <= a:
-                    continue
-                c = frozenset(tables.closure(group, list(a | b)).tolist())
-                if c not in found:
-                    found.add(c)
-                    new.add(c)
-        frontier = new
-    return sorted((tuple(sorted(s)) for s in found), key=lambda s: (-len(s), s))
-
-
-def irrep_matrices(table, row):
-    """Exact matrices of one irreducible, as a dict element -> tuple-matrix.
-
-    Realized inside the smallest coset action containing the character once;
-    the trace of every returned matrix is certified against the table.
-    """
-    group = table.group
-    deg = table.degrees[row]
-    chi = [table.chars[row][c] for c in table.class_of.tolist()]  # by element index
-    els = group.elements
-    if deg == 1:
-        return {g: ((v,),) for g, v in zip(els, chi)}
-    inv = group.inv.tolist()
-    everything = np.arange(group.order)
-    for sub in _all_subgroups(group):
-        acc = Cyclotomic.zero()
-        for h in sub:
-            acc = acc + chi[h]
-        mult = (acc / len(sub)).rational_part()
-        if mult != 1:
-            continue
-        coset_of, reps = tables.left_cosets(group, sub)
-        c = len(reps)
-        perm_of = coset_of[group.mul(everything[:, None], reps[None, :])].tolist()
-        # isotypic projector (deg/|G|) sum chi(g^-1) rho(g)
-        proj = [[Cyclotomic.zero() for _ in range(c)] for _ in range(c)]
-        for g in range(group.order):
-            coeff = chi[inv[g]]
-            if coeff.is_zero():
-                continue
-            pg = perm_of[g]
-            for j in range(c):
-                proj[pg[j]][j] = proj[pg[j]][j] + coeff
-        scale = Fraction(deg, group.order)
-        cols = [[proj[i][j] * scale for i in range(c)] for j in range(c)]
-        steps = list(_cyclo_column_echelon(cols))
-        if len(steps) != deg:
-            continue
-        _, basis, pivots = steps[-1]
-        mats = {}
-        ok = True
-        for g in range(group.order):
-            pg_inv = perm_of[inv[g]]
-            permuted = [[basis[l][pg_inv[i]] for l in range(deg)] for i in range(c)]
-            mat = tuple(tuple(permuted[pivots[i]][l] for l in range(deg)) for i in range(deg))
-            tr = Cyclotomic.zero()
-            for i in range(deg):
-                tr = tr + mat[i][i]
-            if tr != chi[g]:
-                ok = False
-                break
-            mats[els[g]] = mat
-        if ok:
-            return mats
-    raise LiftFailure(f"no multiplicity-one coset realization for character {row}")
-
-
-def _cyclo_column_echelon(cols):
-    """Reduced column echelon over Q(zeta), built one input column at a time.
-
-    Yields (position, basis, pivot rows) after each input column that is
-    independent of the ones before it; ``basis[i]`` is 1 at its pivot row and
-    0 at every other pivot row.  A caller that needs only the first k
-    independent columns stops iterating there.
-    """
-    basis = []
-    pivots = []
-    for pos, col in enumerate(cols):
-        col = list(col)
-        for prev, pr in zip(basis, pivots):
-            f = col[pr]
-            if not f.is_zero():
-                col = [x - f * y for x, y in zip(col, prev)]
-        pr = next((i for i, x in enumerate(col) if not x.is_zero()), None)
-        if pr is None:
-            continue
-        inv = col[pr].inverse()
-        col = [x * inv for x in col]
-        for i in range(len(basis)):
-            f = basis[i][pr]
-            if not f.is_zero():
-                basis[i] = [x - f * y for x, y in zip(basis[i], col)]
-        basis.append(col)
-        pivots.append(pr)
-        yield pos, basis, pivots

@@ -176,7 +176,10 @@ def _subfield_solver(n, m):
 
 def _exact_dtype(bound):
     """The cheapest dtype whose matmuls stay exact while every partial sum is
-    at most bound in absolute value: float64 (BLAS), int64, or Python ints."""
+    at most bound in absolute value: float32 or float64 (BLAS), int64, or
+    Python ints."""
+    if bound < 2**24:
+        return np.float32
     if bound < 2**53:
         return np.float64
     if bound < 2**63:
@@ -240,17 +243,20 @@ def _pointwise(a, B, m):
 
 
 def _inner(A, B, m):
-    """Coordinates of sum_t A[x, t] * B[y, t] as an (x, y, phi(m)) array, for
-    coordinate arrays A (x, t, phi(m)) and B (y, t, phi(m)); int64 unless
-    an entry needs Python ints."""
+    """Coordinates of sum_t A[..., x, t] * B[..., y, t] as an (..., x, y,
+    phi(m)) array, for coordinate arrays A (..., x, t, phi(m)) and
+    B (..., y, t, phi(m)) with the same leading batch shape; int64 unless an
+    entry needs Python ints."""
     table = _product_table(m)
-    (nx, nt, phi), ny = A.shape, B.shape[0]
+    *batch, nx, nt, phi = A.shape
+    ny = B.shape[-3]
     dt = _exact_dtype(nt * phi * phi * _top(A) * _top(B) * _top(table))
     # one matmul over t for all powers zeta^a, zeta^b, then the product table
-    left = A.astype(dt).transpose(0, 2, 1).reshape(nx * phi, nt)
-    sums = (left @ B.astype(dt).transpose(1, 0, 2).reshape(nt, ny * phi)).reshape(nx, phi, ny, phi)
-    sums = sums.transpose(0, 2, 1, 3).reshape(nx * ny, phi * phi)
-    out = (sums @ table.astype(dt).reshape(phi * phi, phi)).reshape(nx, ny, phi)
+    left = np.swapaxes(A.astype(dt), -1, -2).reshape(*batch, nx * phi, nt)
+    right = np.swapaxes(B.astype(dt), -3, -2).reshape(*batch, nt, ny * phi)
+    sums = np.matmul(left, right).reshape(*batch, nx, phi, ny, phi)
+    sums = np.swapaxes(sums, -3, -2).reshape(*batch, nx, ny, phi * phi)
+    out = sums @ table.astype(dt).reshape(phi * phi, phi)
     return out if dt is object else out.astype(np.int64)
 
 

@@ -101,13 +101,28 @@ def group_from_payload(payload):
 # -- character tables
 
 
+def _encoder():
+    """cyclo.to_document that encodes each distinct value once; equal values
+    share one (never mutated) form."""
+    forms = {}
+
+    def encode(v):
+        form = forms.get(v)
+        if form is None:
+            form = forms[v] = cyclo.to_document(v)
+        return form
+
+    return encode
+
+
 def chartab_payload(table):
+    encode = _encoder()
     return {
         "group": group_payload(table.group),
         "classes": [[rep.cycle_string(), size] for rep, size in table.classes],
         "exponent": table.exponent,
         "degrees": list(table.degrees),
-        "values": [[cyclo.to_document(v) for v in row] for row in table.chars],
+        "values": [[encode(v) for v in row] for row in table.chars],
     }
 
 
@@ -197,13 +212,14 @@ def pair_from_payload(payload):
 
 
 def modular_payload(md):
+    encode = _encoder()
     return {
         "group": group_payload(md.group) if md.group is not None else None,
         "labels": [[l.class_rep.cycle_string(), l.char_row] for l in md.labels],
         "dims": list(md.dims),
         "global_dim": md.global_dim,
-        "s": [[cyclo.to_document(v) for v in row] for row in md.S],
-        "t": [cyclo.to_document(v) for v in md.T],
+        "s": [[encode(v) for v in row] for row in md.S],
+        "t": [encode(v) for v in md.T],
     }
 
 

@@ -3,10 +3,10 @@ subring lattice, gradings, nilpotency, and the one solver that reads fusion
 rules off a character system.
 
 The structure tensor is held as a write-locked numpy int array; all axiom
-checks are exhaustive.  Large tensor contractions go through float64 matmuls
-only while an explicit bound keeps every sum below 2**53, where float64 is
-exact; past it they run on int64, and past 2**63 on Python integers
-(``cyclo._exact_dtype``).
+checks are exhaustive.  Large tensor contractions go through BLAS matmuls
+only while an explicit bound keeps every sum exact there: float32 below
+2**24, float64 below 2**53; past it they run on int64, and past 2**63 on
+Python integers (``cyclo._exact_dtype``).
 
 Every ring read off characters (Rep G, split bicrossed products, the
 Verlinde ring of a double) solves sum_z N[x][y][z] X[z] = P[x][y] on
@@ -146,15 +146,16 @@ def validate(ring):
     dual = ring.dual
     if sorted(dual) != list(range(n)):
         raise AxiomViolation("dual_not_bijective")
-    for i in range(n):
-        if dual[dual[i]] != i:
-            raise AxiomViolation("dual_involution", (i,))
-        for j in range(n):
-            want = 1 if j == dual[i] else 0
-            if N[i, j, 0] != want:
-                raise AxiomViolation("duality", (i, j))
-    # transpose symmetry N[i,j,k] == N[dual(j), dual(i), dual(k)]
     perm = np.array(dual)
+    not_involution = perm[perm] != np.arange(n)
+    not_dual = N[:, :, 0] != eye[perm]  # N[i, j, 0] = 1 exactly when j = dual(i)
+    bad = not_involution | not_dual.any(axis=1)
+    if bad.any():  # the first failing i, its involution checked before its row
+        i = int(np.argmax(bad))
+        if not_involution[i]:
+            raise AxiomViolation("dual_involution", (i,))
+        raise AxiomViolation("duality", (i, int(np.argmax(not_dual[i]))))
+    # transpose symmetry N[i,j,k] == N[dual(j), dual(i), dual(k)]
     if not np.array_equal(N, N[np.ix_(perm, perm, perm)].transpose(1, 0, 2)):
         raise AxiomViolation("transpose_symmetry")
     # associativity, chunked over the first index; entries of both sides are
@@ -293,16 +294,14 @@ def invertibles(ring):
         idx = tuple(i for i, d in enumerate(dims.dims) if d == 1)
     else:
         idx = tuple(i for i, d in enumerate(dims.dims) if abs(d - 1.0) < 1e-9)
-    pos = {g: a for a, g in enumerate(idx)}
-    table = []
-    for a in idx:
-        row = []
-        for b in idx:
-            supp = ring.support(a, b)
-            if len(supp) != 1 or ring.N[a, b, supp[0]] != 1:
-                raise AxiomViolation("invertible_product", (a, b))
-            row.append(pos[supp[0]])
-        table.append(row)
+    block = ring.N[np.ix_(idx, idx)]  # [a, b, k]: the products of invertibles
+    single = ((block != 0).sum(axis=2) == 1) & (block.max(axis=2, initial=0) == 1)
+    if not single.all():
+        a, b = np.argwhere(~single)[0].tolist()
+        raise AxiomViolation("invertible_product", (idx[a], idx[b]))
+    pos = np.full(ring.size, -1)
+    pos[list(idx)] = np.arange(len(idx))
+    table = pos[block.argmax(axis=2)].tolist()
     tables.check_table(table)
     return Invertibles(indices=idx, table=tuple(map(tuple, table)), name=tables.iso_name(table))
 
@@ -350,64 +349,53 @@ def adjoint_series(ring):
 
 
 def universal_grading(ring):
-    """Finest faithful group grading; neutral block must equal the adjoint subring."""
+    """Finest faithful group grading; neutral block must equal the adjoint subring.
+
+    The blocks are the connected components of the graph that joins j to the
+    support of a*j and of j*a for every adjoint a; each product must land in
+    one block, and the block products must form a group.  Inconsistencies
+    are reported at the first basis pair (i, j) in row-major order.
+    """
     n = ring.size
-    ad = adjoint_indices(ring)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for a in ad:
-        for j in range(n):
-            for k in ring.support(a, j):
-                union(j, k)
-            for k in ring.support(j, a):
-                union(j, k)
-    comps = {}
-    for i in range(n):
-        comps.setdefault(find(i), []).append(i)
-    blocks = sorted((tuple(sorted(m)) for m in comps.values()), key=lambda b: (b[0] != 0, b))
+    ad = list(adjoint_indices(ring))
+    nonzero = ring.N != 0
+    linked = nonzero[ad].any(axis=0) | nonzero[:, ad].any(axis=1)
+    linked |= linked.T
+    # label propagation: each element takes the least label among its
+    # neighbours, until every component carries its least element
+    label = np.arange(n)
+    while True:
+        new = np.minimum(label, np.where(linked, label, n).min(axis=1))
+        if (new == label).all():
+            break
+        label = new[new]
+    firsts, block_of = np.unique(label, return_inverse=True)  # blocks by least element
+    blocks = [tuple(np.flatnonzero(block_of == b).tolist()) for b in range(len(firsts))]
     if blocks[0] != tuple(ad):
         raise GradingInconsistent("neutral block differs from adjoint subring")
-    block_of = {}
-    for b, members in enumerate(blocks):
-        for i in members:
-            block_of[i] = b
-    k = len(blocks)
-    table = [[None] * k for _ in range(k)]
-    for i in range(n):
-        for j in range(n):
-            supp = ring.support(i, j)
-            if not supp:
-                raise GradingInconsistent(f"empty product at ({i},{j})")
-            tgt = {block_of[s] for s in supp}
-            if len(tgt) != 1:
-                raise GradingInconsistent(f"product ({i},{j}) spreads over blocks {sorted(tgt)}")
-            g, h, t = block_of[i], block_of[j], tgt.pop()
-            if table[g][h] is None:
-                table[g][h] = t
-            elif table[g][h] != t:
-                raise GradingInconsistent(f"inconsistent block product at ({g},{h})")
-    for row in table:
-        if any(x is None for x in row):
-            raise GradingInconsistent("partial block product")
-    tables.check_table(table)
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    raise GradingInconsistent("block product not associative")
+    dt = _exact_dtype(n)  # the contraction counts at most n support elements
+    indicator = (block_of[:, None] == np.arange(len(blocks))).astype(dt)
+    lands = nonzero.astype(dt) @ indicator > 0  # [i, j, b]: i*j meets block b
+    count = lands.sum(axis=2)
+    target = lands.argmax(axis=2)
+    # a block pair's product is read at its first basis pair in row-major order
+    table = target[np.ix_(firsts, firsts)]
+    clash = target != table[np.ix_(block_of, block_of)]
+    bad = (count != 1) | clash
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        if count[i, j] == 0:
+            raise GradingInconsistent(f"empty product at ({i},{j})")
+        if count[i, j] > 1:
+            spread = np.flatnonzero(lands[i, j]).tolist()
+            raise GradingInconsistent(f"product ({i},{j}) spreads over blocks {spread}")
+        raise GradingInconsistent(f"inconsistent block product at ({block_of[i]},{block_of[j]})")
+    tables.check_table(table.tolist())
+    k = np.arange(len(blocks))
+    if (table[table] != table[k[:, None, None], table[None]]).any():  # (ab)c against a(bc)
+        raise GradingInconsistent("block product not associative")
     return GradingDecomposition(
-        blocks=tuple(blocks), group_table=tuple(map(tuple, table)), neutral_block=0
+        blocks=tuple(blocks), group_table=tuple(map(tuple, table.tolist())), neutral_block=0
     )
 
 

@@ -249,26 +249,6 @@ def test_dual_of_dual_restores_actions():
     assert back.left == mp.left and back.right == mp.right
 
 
-def test_module_matrices_satisfy_relations():
-    mp = pair_in_a5_c5_a4()
-    ws = split_irreps(mp)
-    w = next(x for x in ws if x.dim == 5)
-    weights, mats = w.module_matrices(mp)
-    f_els = mp.f.elements
-    # multiplicativity of 1 # y
-    for a in f_els:
-        for b in f_els:
-            assert _matmul(mats[a], mats[b]) == mats[a * b]
-    # weight compatibility: rho(1#x) e_t = e_{t <| x^-1} rho(1#x) as block moves
-    x = f_els[1]
-    d = w.stab_degree
-    for i, t in enumerate(weights):
-        moved = mp.left[(t, x.inverse())]
-        j = weights.index(moved)
-        block = [[mats[x][j * d + a][i * d + b] for b in range(d)] for a in range(d)]
-        assert any(not v.is_zero() for row in block for v in row)
-
-
 def test_equivariantization_type_b5():
     g = alternating_group(5)
     ring = rings.group_ring(g)
@@ -332,15 +312,107 @@ def test_j7_ring_builds_exactly():
     assert rings.invertibles(ring).order == 42
 
 
-def _matmul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
+def benchmark_pairs():
+    """The ten factorizations G = F * Gamma of the bicross-search benchmark
+    workload: five, each with its dual Gamma * F."""
+    s4, s5, s6, a5 = symmetric_group(4), symmetric_group(5), symmetric_group(6), alternating_group(5)
+    c4, c5, c6 = cyclic_group(4, degree=4), cyclic_group(5, degree=5), cyclic_group(6, degree=6)
+    t12 = s5.subgroup([Permutation.parse("(1 2)", 5)])
+    factors = {
+        "K5": (a5, c5, alternating_group(4, degree=5)),
+        "J5": (s5, c5, symmetric_group(4, degree=5)),
+        "B5": (s5, t12, a5),
+        "S4=C4.S3": (s4, c4, symmetric_group(3, degree=4)),
+        "S6=C6.S5": (s6, c6, symmetric_group(5, degree=6)),
+    }
+    pairs = {}
+    for name, (g, f, gamma) in factors.items():
+        pairs[name] = matched_pair_from_factorization(g, f, gamma)
+        pairs[name + "-dual"] = matched_pair_from_factorization(g, gamma, f)
+    return pairs
+
+
+def dual_invertibles_oracle(mp):
+    """(table, name, center order) of the dual invertibles, multiplying the
+    one-dimensional characters of F as tuples of exact Cyclotomic values."""
+    from fusionrings import tables
+    from fusionrings.chartab import character_table
+
+    f, gamma = mp.f, mp.gamma
+    table_f = character_table(f)
+    chars = [
+        tuple(table_f.chars[r][c] for c in table_f.class_of.tolist())
+        for r in range(table_f.num_classes)
+        if table_f.degrees[r] == 1
+    ]
+    char_pos = {c: i for i, c in enumerate(chars)}
+    fixed = [s for s in range(gamma.order) if all(mp.ltab[s] == s)]
+    elements = [(ci, si) for ci in range(len(chars)) for si in range(len(fixed))]
+    table = []
+    for ci, si in elements:
         row = []
-        for j in range(n):
-            acc = Cyclotomic.zero()
-            for l in range(n):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+        for cj, sj in elements:
+            moved = tuple(chars[cj][x] for x in mp.dual_ltab[:, fixed[si]].tolist())
+            product = char_pos[tuple(a * b for a, b in zip(chars[ci], moved))]
+            row.append(elements.index((product, fixed.index(int(gamma.mul(fixed[si], fixed[sj]))))))
+        table.append(tuple(row))
+    return tuple(table), tables.iso_name(table), len(tables.center(table))
+
+
+def test_dual_invertibles_match_cyclotomic_oracle():
+    for name, mp in benchmark_pairs().items():
+        di = dual_invertibles(mp)
+        assert (di.table, di.name, di.center_order) == dual_invertibles_oracle(mp), name
+
+
+# sha256 of the tensors, recorded while the pivots came from an exact
+# Cyclotomic column echelon
+SPLIT_RING_SHA = {
+    "K5": "f1bdba71968294e6",
+    "J5": "b2849c56ce231f44",
+    "B5": "5b4e2601362c20f2",
+    "S4=C4.S3": "05b4087d78cb068c",
+}
+
+
+def test_split_fusion_ring_does_no_cyclotomic_arithmetic(monkeypatch):
+    import hashlib
+
+    pairs = benchmark_pairs()
+
+    def forbidden(*args):
+        raise AssertionError("cyclotomic arithmetic in split_fusion_ring")
+
+    for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__",
+               "inverse", "conjugate", "galois"):
+        monkeypatch.setattr(Cyclotomic, op, forbidden)
+    for name, sha in SPLIT_RING_SHA.items():
+        ring = split_fusion_ring(pairs[name])
+        assert hashlib.sha256(ring.N.tobytes()).hexdigest()[:16] == sha, name
+
+
+def test_pivot_cells_move_past_a_rank_deficient_prime():
+    import numpy as np
+
+    from fusionrings.bicross import _pivot_cells
+    from fusionrings.cyclo import _split_primes
+
+    # three rational "characters" of degree 2 on one Gamma element and four
+    # F elements; the first cell is zero, and the other three have
+    # determinant 11, the kernel's first prime above 2 * 2^2
+    rows = np.array([[0, 2, -1, 0], [0, 2, 2, 1], [0, 1, 0, 2]])
+    assert round(np.linalg.det(rows[:, 1:])) == 11
+    assert next(_split_primes(1, 8))[0] == 11
+    chi = rows.reshape(3, 1, 4, 1)
+    assert _pivot_cells(chi, 1, (2, 2, 2)).tolist() == [1, 2, 3]
+
+
+def test_pivot_cells_reject_dependent_characters():
+    import numpy as np
+
+    from fusionrings.bicross import _pivot_cells
+    from fusionrings.errors import SingularCharacterSystem
+
+    chi = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]).reshape(3, 1, 3, 1)
+    with pytest.raises(SingularCharacterSystem, match="only 2 independent character columns"):
+        _pivot_cells(chi, 1, (1, 1, 1))

@@ -8,7 +8,6 @@ from fusionrings import docs, rings
 from fusionrings.chartab import (
     character_table,
     inner_product,
-    irrep_matrices,
     rep_g_fusion_ring,
 )
 from fusionrings.cli import parse_group_spec
@@ -145,48 +144,6 @@ def test_rep_ring_abelian_group_is_pointed():
     inv = rings.invertibles(ring)
     assert inv.order == 6
     assert inv.name == "C6"
-
-
-def test_irrep_matrices_s3():
-    t = character_table(symmetric_group(3))
-    g = t.group
-    for row in range(t.num_classes):
-        mats = irrep_matrices(t, row)
-        d = t.degrees[row]
-        for a in g.elements:
-            for b in g.elements:
-                prod = _matmul(mats[a], mats[b])
-                assert prod == mats[a * b]
-        for a in g.elements:
-            tr = Cyclotomic.zero()
-            for i in range(d):
-                tr = tr + mats[a][i][i]
-            assert tr == t.value(row, a)
-
-
-def test_irrep_matrices_degree3_s4():
-    t = character_table(symmetric_group(4))
-    row = t.degrees.index(3)
-    mats = irrep_matrices(t, row)
-    g = t.group
-    els = g.elements[::5]
-    for a in els:
-        for b in els:
-            assert _matmul(mats[a], mats[b]) == mats[a * b]
-
-
-def _matmul(a, b):
-    n, m, k = len(a), len(b[0]), len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = Cyclotomic.zero()
-            for l in range(k):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def rep_ring_oracle(table):

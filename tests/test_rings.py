@@ -263,3 +263,234 @@ def test_decomposition_kernel_skips_a_prime_where_x_is_singular():
     p, powers, _ = _solving_prime(X, 1, (2**16, 2**16))
     assert p > 2**33 and powers.dtype == object
     assert np.array_equal(_decompose(X, P.__getitem__, 1, (2**16, 2**16)), N)
+
+
+@pytest.mark.parametrize("b", [2363, 2365])
+def test_validate_is_exact_at_the_float32_boundary(b):
+    import numpy as np
+
+    from fusionrings.cyclo import _exact_dtype
+
+    # associativity sums are bounded by 3 max(N)^2 = 3 (b + 1)^2: float32
+    # runs them just below 2**24 (b = 2363), float64 just above (b = 2365);
+    # the largest sums, 1 + a^2 + b^2, come within a factor 1.5 of 2**24
+    assert _exact_dtype(3 * (b + 1) ** 2) is (np.float32 if b == 2363 else np.float64)
+    rings.validate(_big_commutative_ring(b, 0))
+    with pytest.raises(AxiomViolation) as err:
+        rings.validate(_big_commutative_ring(b, 1))
+    assert err.value.axiom == "associativity"
+
+
+def duality_oracle(ring):
+    """The first duality axiom that fails, checked i by i and then j by j:
+    (axiom, location), or None."""
+    dual = ring.dual
+    for i in range(ring.size):
+        if dual[dual[i]] != i:
+            return "dual_involution", (i,)
+        for j in range(ring.size):
+            if ring.N[i, j, 0] != (1 if j == dual[i] else 0):
+                return "duality", (i, j)
+    return None
+
+
+def test_validate_reports_the_first_duality_failure():
+    import random
+
+    rng = random.Random(5)
+    base = rep_ring(symmetric_group(4))
+    seen = set()
+    for _ in range(60):
+        tensor = base.N.copy()
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(1, 5), rng.randrange(1, 5)
+            tensor[i, j, 0] = rng.randint(0, 2)
+            tensor[j, i, 0] = tensor[i, j, 0]
+        dual = list(base.dual)
+        if rng.random() < 0.3:  # a bijection that need not be an involution
+            rest = dual[1:]
+            rng.shuffle(rest)
+            dual[1:] = rest
+        ring = rings.FusionRing(base.labels, tensor, dual)
+        want = duality_oracle(ring)
+        try:
+            rings.validate(ring)
+            got = None
+        except AxiomViolation as err:
+            got = (err.axiom, err.witness)
+        if want is not None:
+            assert got == want
+            seen.add(want[0])
+    assert seen == {"dual_involution", "duality"}
+
+
+def invertibles_oracle(ring):
+    """Indices and Cayley table of the dimension-1 basis elements, one
+    support per pair, or the first pair whose product is not a single
+    invertible."""
+    idx = tuple(i for i, d in enumerate(rings.fp_dims(ring).dims) if d == 1)
+    table = []
+    for a in idx:
+        row = []
+        for b in idx:
+            supp = ring.support(a, b)
+            if len(supp) != 1 or ring.N[a, b, supp[0]] != 1:
+                return idx, (a, b)
+            row.append(idx.index(supp[0]))
+        table.append(tuple(row))
+    return idx, tuple(table)
+
+
+def test_invertibles_match_pairwise_oracle():
+    from fusionrings.bicross import matched_pair_from_factorization, split_fusion_ring
+
+    k5 = split_fusion_ring(matched_pair_from_factorization(
+        alternating_group(5), cyclic_group(5, degree=5), alternating_group(4, degree=5)))
+    for ring in (rep_ring(dihedral_group(4)), rings.group_ring(symmetric_group(3)), k5):
+        inv = rings.invertibles(ring)
+        assert (inv.indices, inv.table) == invertibles_oracle(ring)
+    # a product of invertibles that is no longer one basis element
+    tensor = k5.N.copy()
+    a, b = inv.indices[2], inv.indices[3]
+    tensor[a, b] *= 2
+    broken = rings.FusionRing(k5.labels, tensor, k5.dual)
+    broken._dims = rings.fp_dims(k5)
+    with pytest.raises(AxiomViolation) as err:
+        rings.invertibles(broken)
+    assert (err.value.axiom, err.value.witness) == ("invertible_product", invertibles_oracle(broken)[1])
+
+
+def universal_grading_oracle(ring):
+    """(blocks, group table) of the universal grading by union-find over one
+    support per basis pair, or the GradingInconsistent message it stops at."""
+    from fusionrings import tables
+
+    n = ring.size
+    ad = rings.adjoint_indices(ring)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a in ad:
+        for j in range(n):
+            for k in ring.support(a, j) + ring.support(j, a):
+                ra, rb = find(j), find(k)
+                parent[max(ra, rb)] = min(ra, rb)
+    comps = {}
+    for i in range(n):
+        comps.setdefault(find(i), []).append(i)
+    blocks = sorted((tuple(sorted(m)) for m in comps.values()), key=lambda b: (b[0] != 0, b))
+    if blocks[0] != tuple(ad):
+        return "neutral block differs from adjoint subring"
+    block_of = {i: b for b, members in enumerate(blocks) for i in members}
+    k = len(blocks)
+    table = [[None] * k for _ in range(k)]
+    for i in range(n):
+        for j in range(n):
+            supp = ring.support(i, j)
+            if not supp:
+                return f"empty product at ({i},{j})"
+            tgt = {block_of[s] for s in supp}
+            if len(tgt) != 1:
+                return f"product ({i},{j}) spreads over blocks {sorted(tgt)}"
+            g, h, t = block_of[i], block_of[j], tgt.pop()
+            if table[g][h] is None:
+                table[g][h] = t
+            elif table[g][h] != t:
+                return f"inconsistent block product at ({g},{h})"
+    try:
+        tables.check_table(table)
+    except ValueError as err:
+        return str(err)
+    for a in range(k):
+        for b in range(k):
+            for c in range(k):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return "block product not associative"
+    return tuple(blocks), tuple(map(tuple, table))
+
+
+def _grading_or_message(ring):
+    from fusionrings.errors import GradingInconsistent
+
+    try:
+        grading = rings.universal_grading(ring)
+    except (GradingInconsistent, ValueError) as err:
+        return str(err)
+    return grading.blocks, grading.group_table
+
+
+def test_universal_grading_matches_union_find_oracle():
+    from fusionrings.bicross import matched_pair_from_factorization, split_fusion_ring
+    from fusionrings.doubles import double_modular_data, verlinde_fusion
+    from fusionrings.perms import quaternion_group
+
+    s4 = matched_pair_from_factorization(symmetric_group(4), cyclic_group(4, degree=4),
+                                         symmetric_group(3, degree=4))
+    b5 = matched_pair_from_factorization(symmetric_group(5), cyclic_group(2, degree=5),
+                                         alternating_group(5))
+    for ring in (
+        rep_ring(symmetric_group(4)),
+        rep_ring(dihedral_group(6)),
+        rep_ring(quaternion_group()),
+        rings.group_ring(dihedral_group(4)),
+        rings.group_ring(cyclic_group(6)),
+        split_fusion_ring(s4),
+        split_fusion_ring(s4.dual()),
+        split_fusion_ring(b5),
+        verlinde_fusion(double_modular_data(symmetric_group(3))),
+        verlinde_fusion(double_modular_data(cyclic_group(4))),
+    ):
+        want = universal_grading_oracle(ring)
+        assert isinstance(want, tuple)
+        assert _grading_or_message(ring) == want
+
+
+def _magma_ring(square):
+    """The tensor of x * y = square[x][y] (unit 0), each element self-dual."""
+    import numpy as np
+
+    n = len(square)
+    tensor = np.zeros((n, n, n), dtype=np.int64)
+    for x in range(n):
+        for y in range(n):
+            tensor[x, y, square[x][y]] = 1
+    return rings.FusionRing(tuple(map(str, range(n))), tensor, tuple(range(n)))
+
+
+def test_universal_grading_inconsistencies_match_union_find_oracle():
+    import numpy as np
+
+    # the loop of order 5 in which every element squares to 0: its blocks are
+    # the elements, and their product is not associative
+    loop = _magma_ring([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+    # with basis 1, x, y, z: y y = y makes {1, y} the adjoint block and
+    # {x, z} the other, but x x lands in the first and x z in the second
+    clash = _magma_ring([[0, 1, 2, 3], [1, 2, 1, 1], [2, 3, 2, 3], [3, 0, 1, 0]])
+    # x^2 = 1 + x makes {1, x} adjoint, and 1 in x y joins y to the neutral block
+    tensor = np.zeros((3, 3, 3), dtype=np.int64)
+    tensor[0] = tensor[:, 0] = np.eye(3, dtype=np.int64)
+    tensor[1, 1, :2] = tensor[2, 2, 0] = tensor[1, 2, 0] = 1
+    joined = rings.FusionRing(("1", "x", "y"), tensor, (0, 1, 2))
+    messages = {universal_grading_oracle(ring) for ring in (loop, clash, joined)}
+    assert messages == {"block product not associative", "inconsistent block product at (1,1)",
+                        "neutral block differs from adjoint subring"}
+    for ring in (loop, clash, joined):
+        assert _grading_or_message(ring) == universal_grading_oracle(ring)
+    # random unital tensors with random duality bijections
+    rng = np.random.default_rng(3)
+    kinds = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 7))
+        tensor = (rng.random((n, n, n)) < rng.uniform(0.05, 0.5)) * rng.integers(1, 3, (n, n, n))
+        tensor[0] = tensor[:, 0] = np.eye(n, dtype=np.int64)
+        dual = [0, *(rng.permutation(n - 1) + 1).tolist()]
+        ring = rings.FusionRing(tuple(map(str, range(n))), tensor, dual)
+        want = universal_grading_oracle(ring)
+        assert _grading_or_message(ring) == want
+        kinds.add(want.split(" at ")[0].split(" (")[0] if isinstance(want, str) else "grading")
+    assert {"empty product", "product", "grading"} <= kinds
