@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rings, tables
 from .chartab import _mulmod, character_table
-from .cyclo import _coordinates, _inner, _split_primes
+from .cyclo import _inner, _lift, _phi, _split_primes
 from .errors import (
     GroupLawFailure,
     NonIntegralMultiplicity,
@@ -250,25 +250,23 @@ def _characters(mp, irreps):
     character i at e_t # y (t in Gamma, y in F), m the lcm of the stabilizer
     character conductors."""
     f, gamma = mp.f, mp.gamma
-    characters = [w.stab_table.chars[w.stab_row] for w in irreps]
-    # character values are algebraic integers, so no common denominator
-    m, _, codes = _coordinates([[v for values in characters for v in values]])
-    starts = np.cumsum([0] + [len(values) for values in characters])
-    chi = np.zeros((len(irreps), gamma.order, f.order, codes.shape[2]), dtype=np.int64)
+    m = math.lcm(*(w.stab_table.m for w in irreps))
+    chi = np.zeros((len(irreps), gamma.order, f.order, _phi(m)), dtype=np.int64)
     every_y = np.arange(f.order)
-    orbits = {}  # orbit representative -> its weights, and the stabilizer class of each x^-1 y x
+    orbits = {}  # orbit representative -> its weights, its table's values at m and the class of each x^-1 y x
     for i, w in enumerate(irreps):
+        table = w.stab_table
         if w.orbit_rep not in orbits:
             # -1, a dead class, outside the stabilizer
             class_in_f = np.full(f.order, -1, dtype=np.intp)
-            class_in_f[f.index_rows(w.stabilizer.images)] = w.stab_table.class_of
+            class_in_f[f.index_rows(w.stabilizer.images)] = table.class_of
             x = np.array([f.index_of(xi) for xi in w.coset_reps])
             t = np.array([gamma.index_of(ti) for ti in w.weights])
-            orbits[w.orbit_rep] = t, class_in_f[f.mul(f.mul(f.inv[x][:, None], every_y), x[:, None])]
-        t, classes = orbits[w.orbit_rep]
-        # the irrep's class values, then 0 for the dead class
-        values = np.concatenate([codes[0, starts[i]:starts[i + 1]], np.zeros_like(codes[0, :1])])
-        chi[i, t] = values[classes]
+            # the table's distinct values at m, then 0 for the dead class
+            codes = np.concatenate([_lift(table.codes, table.m, m), np.zeros((1, chi.shape[3]), dtype=np.int64)])
+            orbits[w.orbit_rep] = t, codes, class_in_f[f.mul(f.mul(f.inv[x][:, None], every_y), x[:, None])]
+        t, codes, classes = orbits[w.orbit_rep]
+        chi[i, t] = codes[np.append(table.index[w.stab_row], -1)[classes]]
     return m, chi
 
 
@@ -306,15 +304,15 @@ def dual_invertibles(mp):
     extended by the <|-fixed points of Gamma (split case).
 
     The characters are compared and multiplied as residues mod an odd prime
-    p = 1 (mod m), m the lcm of their conductors, where the roots of unity
-    of Q(zeta_m) stay distinct."""
+    p = 1 (mod m), m the lcm of the conductors in F's table, where the roots
+    of unity of Q(zeta_m) stay distinct."""
     f, gamma = mp.f, mp.gamma
     table_f = character_table(f)
-    linear = [table_f.chars[r] for r in range(table_f.num_classes) if table_f.degrees[r] == 1]
-    m, _, codes = _coordinates(linear)
+    linear = [r for r in range(table_f.num_classes) if table_f.degrees[r] == 1]
+    m, codes = table_f.m, table_f.codes
     p, w = next(_split_primes(m, 2))
-    powers = np.array([pow(w, k, p) for k in range(codes.shape[2])], dtype=np.int64)
-    chars = _mulmod(codes % p, powers, p)[:, table_f.class_of]  # [c, x]
+    powers = np.array([pow(w, k, p) for k in range(codes.shape[1])], dtype=np.int64)
+    chars = _mulmod(codes % p, powers, p)[table_f.index[linear][:, table_f.class_of]]  # [c, x]
     fixed = np.flatnonzero((mp.ltab == np.arange(gamma.order)[:, None]).all(axis=1))
     fixed_pos = np.full(gamma.order, -1)
     fixed_pos[fixed] = np.arange(len(fixed))

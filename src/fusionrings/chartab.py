@@ -7,24 +7,24 @@ share until the central characters are lines.  The values are lifted by
 one inverse DFT matmul per element order m, which reads the multiplicity
 of each eigenvalue zeta_m^k of a class representative off its power map,
 and each distinct value becomes a Cyclotomic once.  Tables
-with more than MAX_CLASSES classes are refused.  Orthogonality and degrees
-are then certified exactly on the integer Z[zeta_m] coordinates of the
-distinct values.  The ring of Rep G, chi_x chi_y = sum_z N[x][y][z] chi_z,
-is solved and certified on the same coordinates by the decomposition
-kernel of ``rings``.
+with more than MAX_CLASSES classes are refused.  The table encodes its
+distinct values once, as integer Z[zeta_m] coordinates with an index per
+entry; orthogonality and degrees are certified exactly on them, and the
+ring of Rep G (chi_x chi_y = sum_z N[x][y][z] chi_z, by the decomposition
+kernel of ``rings``), the split bicrossed products and the doubles read
+them without touching a Cyclotomic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rings
 from .cyclo import (
     Cyclotomic,
-    _coordinates,
     _distinct_coordinates,
     _exact_dtype,
     _monomial_reduction,
@@ -45,6 +45,10 @@ MAX_CLASSES = 128
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
+    """A character table; chi_i(z_j) has the Z[zeta_m] coordinates
+    codes[index[i, j]], m the lcm of the value conductors, encoded once at
+    construction from ``chars``, which documents and sort keys read."""
+
     group: object
     classes: tuple          # (representative, size) per class, canonical order
     class_of: object        # int array: class index of each element, by element index
@@ -52,6 +56,14 @@ class CharacterTable:
     degrees: tuple
     chars: tuple            # rows of Cyclotomic values, trivial character first
     dixon_prime: int
+    m: int = field(init=False, repr=False)
+    codes: np.ndarray = field(init=False, repr=False)  # (distinct values, phi(m))
+    index: np.ndarray = field(init=False, repr=False)  # (rows, classes) into codes
+
+    def __post_init__(self):  # no common denominator: character values are algebraic integers
+        m, _, codes, index = _distinct_coordinates(self.chars)
+        for name, value in (("m", m), ("codes", codes), ("index", index)):
+            object.__setattr__(self, name, value)
 
     @property
     def num_classes(self):
@@ -298,14 +310,13 @@ def _certify(table):
     taken in coordinates.
     """
     r = table.num_classes
-    m, scale, codes, index = _distinct_coordinates(table.chars)
+    m, codes, index = table.m, table.codes, table.index
     phi = codes.shape[1]
     order = table.group.order
     sizes = np.array([s for _, s in table.classes])
-    target = scale * scale * order
     # a conjugate's coordinates are sums of phi coordinates times entries of red
     red = np.array(_monomial_reduction(m)[:m], dtype=np.int64)
-    bound = 2 * (order * phi**3 * _top(codes) ** 2 * _top(red) * _top(_product_table(m)) + target)
+    bound = 2 * (order * phi**3 * _top(codes) ** 2 * _top(red) * _top(_product_table(m)) + order)
     units = [k for k in range(m) if math.gcd(k, m) == 1]  # ascending: -k is the mirror image of k
     primes = _split_primes(m, min(bound, 1 << 16))  # r q^2 < 2**53: BLAS matmuls
     wrong = np.zeros((r, r), dtype=bool)
@@ -316,14 +327,14 @@ def _certify(table):
         images = _mulmod(codes % q, at, q)[index]  # [i, j, e]; a conjugate's image at e is at phi - 1 - e
         left = images * sizes[:, None] % q
         gram = _mulmod(left.transpose(2, 0, 1), images[:, :, ::-1].transpose(2, 1, 0), q)  # [e, i, k]
-        gram[:, range(r), range(r)] -= target % q
+        gram[:, range(r), range(r)] -= order % q
         wrong |= (gram % q != 0).any(axis=0)
         modulus *= q
     if wrong.any():
         i, k = np.argwhere(wrong)[0].tolist()
         raise LiftFailure(f"row orthogonality failed at ({i},{k})")
     first = codes[index[:, 0]]  # the identity class
-    if (first[:, 0] != scale * np.array(table.degrees)).any() or first[:, 1:].any():
+    if (first[:, 0] != np.array(table.degrees)).any() or first[:, 1:].any():
         raise LiftFailure("degree column mismatch")
 
 
@@ -346,8 +357,8 @@ def _rep_system(table):
     """(X, products, m) with sum_z N[x][y][z] X[z] = products(x)[y] the
     decomposition chi_x chi_y = sum_z N[x][y][z] chi_z, on Z[zeta_m]
     coordinates."""
-    m, scale, X = _coordinates(table.chars)
-    return X * scale, lambda x: _pointwise(X[x], X, m), m
+    m, X = table.m, table.codes[table.index]
+    return X, lambda x: _pointwise(X[x], X, m), m
 
 
 def rep_g_fusion_ring(table):

@@ -220,6 +220,14 @@ def _distinct_coordinates(rows):
     return m, scale, coords, np.array(index, dtype=np.intp).reshape(len(rows), -1)
 
 
+def _lift(codes, m, M):
+    """The canonical Z[zeta_M] coordinates of values given by their Z[zeta_m]
+    coordinates codes (..., phi(m)), for m dividing M: zeta_m^k = zeta_M^(k M/m)."""
+    red = np.array(_monomial_reduction(M)[:M], dtype=np.int64)[:: M // m][: codes.shape[-1]]
+    dt = np.int64 if _top(codes) * codes.shape[-1] * _top(red) < 2**63 else object
+    return codes.astype(dt) @ red.astype(dt)
+
+
 @lru_cache(maxsize=None)
 def _product_table(m):
     """table[a, b] = canonical Z[zeta_m] coordinates of zeta_m^(a + b), a, b < phi(m)."""

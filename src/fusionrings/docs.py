@@ -9,6 +9,7 @@ document comparison.
 from __future__ import annotations
 
 import json
+from functools import cache
 
 from . import cyclo, rings
 from .doubles import DoubleLabel, ModularData, _certify_modular
@@ -101,22 +102,8 @@ def group_from_payload(payload):
 # -- character tables
 
 
-def _encoder():
-    """cyclo.to_document that encodes each distinct value once; equal values
-    share one (never mutated) form."""
-    forms = {}
-
-    def encode(v):
-        form = forms.get(v)
-        if form is None:
-            form = forms[v] = cyclo.to_document(v)
-        return form
-
-    return encode
-
-
 def chartab_payload(table):
-    encode = _encoder()
+    encode = cache(cyclo.to_document)  # each distinct value once; equal values share one form
     return {
         "group": group_payload(table.group),
         "classes": [[rep.cycle_string(), size] for rep, size in table.classes],
@@ -212,7 +199,7 @@ def pair_from_payload(payload):
 
 
 def modular_payload(md):
-    encode = _encoder()
+    encode = cache(cyclo.to_document)
     return {
         "group": group_payload(md.group) if md.group is not None else None,
         "labels": [[l.class_rep.cycle_string(), l.char_row] for l in md.labels],
@@ -274,11 +261,12 @@ def modular_from_payload(payload):
         )
         for (rep, row), d in zip(payload["labels"], payload["dims"])
     )
+    parse = cache(lambda text: cyclo.from_document(json.loads(text)))  # each distinct form once
     md = ModularData(
         group=group,
         labels=labels,
-        S=tuple(tuple(cyclo.from_document(v) for v in row) for row in payload["s"]),
-        T=tuple(cyclo.from_document(v) for v in payload["t"]),
+        S=tuple(tuple(parse(json.dumps(v)) for v in row) for row in payload["s"]),
+        T=tuple(parse(json.dumps(v)) for v in payload["t"]),
         dims=tuple(int(d) for d in payload["dims"]),
         global_dim=int(payload["global_dim"]),
         charge_conjugation=(),

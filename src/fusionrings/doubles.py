@@ -1,40 +1,39 @@
 """Modular data of quantum doubles of finite groups.
 
-Simple objects are (conjugacy class, centralizer irreducible) pairs; the
-S-matrix is assembled from exact centralizer character values with a fixed
-conjugation orientation and then certified against the modular-data
-invariants (symmetry, dimension row, S^2 = dim * charge conjugation).
+Simple objects are (conjugacy class, centralizer irreducible) pairs.  S and
+T are built on the integer Z[zeta_M] coordinates that the centralizer
+character tables carry, M the lcm of their m: one matrix X holds every
+label's character on the classes of its centralizer, the pairing counts
+of those classes form one integer matrix, and S is X counts X^T times
+|G| / (|C(a)||C(b)|), T is chi(a) / chi(1), each by exact division.  Each
+distinct entry becomes one Cyclotomic, for documents and ``md.S``/``md.T``.
 
-S is encoded as an integer coefficient array A = L*S of shape
-(n, n, phi(m)): the coordinates of each entry in the power basis of
-Z[zeta_m], where m is the lcm of the entry conductors and L one common
-denominator (1 for genuine doubles).  S^2 = D*C is checked as one integer
-contraction on A.
+Everything after reads one encoding of S and T per instance (``_encoded``):
+A = L*S of shape (n, n, phi(m)), the coordinates of each entry in the power
+basis of Z[zeta_m], m the lcm of the entry conductors and L one common
+denominator (1 for genuine doubles).  The certificate checks the twists,
+the dimension row and symmetry on it, and S^2 = D*C as one contraction.
 
-The fusion tensor is the Verlinde sum
-N[x][y][z] = sum_t S[x][t] S[y][t] S[z*][t] / (d_t D), that is, the
-decomposition sum_z N[x][y][z] S[z][t] = S[x][t] S[y][t] / d_t.  It is
-solved and certified by the decomposition kernel of ``rings`` with
-X = A * L d_t and the pointwise products A[x][t] A[y][t]; S is invertible
-(S^2 = D*C), so the certificate pins N.  The certified tensor is kept on the
-modular data and serves the Verlinde ring, the closures (``rings``' subring
-closure), the projective centralizers and the S-equivalence check.  The
-S-equivalence search is the witness search of ``equivalence``, run on S with
-its entries encoded as integer colours.
+The fusion tensor is the Verlinde decomposition
+sum_z N[x][y][z] S[z][t] = S[x][t] S[y][t] / d_t, solved and certified by
+the decomposition kernel of ``rings`` with X = A * L d_t and the pointwise
+products A[x][t] A[y][t]; S is invertible (S^2 = D*C), so the certificate
+pins N.  The tensor is kept on the modular data and serves the Verlinde
+ring, the closures, the centralizers and the S-equivalence check, the
+witness search of ``equivalence`` run on S with entries as integer colours.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from . import rings
 from .chartab import character_table
-from .cyclo import Cyclotomic, _coordinates, _inner, _pointwise
+from .cyclo import Cyclotomic, _coordinates, _inner, _lift, _monomial_reduction, _phi, _pointwise, _top
 from .equivalence import _node_budget, _search
 from .errors import InvariantFailure, NonIntegralMultiplicity, SingularS
 
@@ -64,6 +63,7 @@ class ModularData:
     global_dim: int
     charge_conjugation: tuple
     _fusion: np.ndarray = field(default=None, repr=False, compare=False)  # certified N, built on first use
+    _encoding: tuple = field(default=None, init=False, repr=False, compare=False)  # see _encoded
 
     @property
     def size(self):
@@ -79,125 +79,124 @@ def double_modular_data(group, twist=None):
         raise ValueError("only untwisted doubles are supported")
     classes = group.conjugacy_classes()
     order = group.order
-    cents = []
-    tabs = []
-    for rep, _ in classes:
-        c = group.centralizer_of(rep)
-        cents.append(c)
-        tabs.append(character_table(c))
-
-    labels = []
-    for ci, (rep, members) in enumerate(classes):
-        for row in range(tabs[ci].num_classes):
-            labels.append(
-                DoubleLabel(
-                    class_index=ci,
-                    class_rep=rep,
-                    char_row=row,
-                    dim=len(members) * tabs[ci].degrees[row],
-                )
-            )
+    cents = [group.centralizer_of(rep) for rep, _ in classes]
+    tabs = [character_table(c) for c in cents]
+    labels = [
+        DoubleLabel(class_index=ci, class_rep=rep, char_row=row, dim=len(members) * tabs[ci].degrees[row])
+        for ci, (rep, members) in enumerate(classes)
+        for row in range(tabs[ci].num_classes)
+    ]
     n = len(labels)
-    dims = tuple(l.dim for l in labels)
 
-    t_diag = []
-    for l in labels:
-        tab = tabs[l.class_index]
-        t_diag.append(tab.value(l.char_row, l.class_rep) / tab.degrees[l.char_row])
-
-    # pairing counts per class pair: how often (class of gbg^-1 in C(a),
-    # class of g^-1ag in C(b)) occurs over g with a and gbg^-1 commuting
-    everything = np.arange(order)
+    # column k of X is a class of one centralizer C(a_i); label (i, row) holds
+    # chi_row there, as Z[zeta_M] coordinates, and 0 in the other columns
+    M = math.lcm(*(tab.m for tab in tabs))
+    sizes = [tab.num_classes for tab in tabs]
+    offsets = np.cumsum([0] + sizes)
+    X = np.zeros((n, offsets[-1], _phi(M)), dtype=np.int64)
+    where = np.full((len(classes), order), -1)  # where[i, g]: the column of g in C(a_i)
+    for i, (cent, tab) in enumerate(zip(cents, tabs)):
+        X[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = _lift(tab.codes, tab.m, M)[tab.index]
+        where[i, group.index_rows(cent.images)] = offsets[i] + tab.class_of
     _, reps = np.unique(group.class_index_map(), return_index=True)
-    inner = [group.mul(group.mul(everything, b), group.inv) for b in reps]  # g b g^-1
-    outer = [group.mul(group.mul(group.inv, a), everything) for a in reps]  # g^-1 a g
-    r = len(classes)
-    pair_counts = [[None] * r for _ in range(r)]
+    # T = chi(a) / chi(1); a is central in C(a)
+    degrees = np.concatenate([tab.degrees for tab in tabs])[:, None]
+    t = _exact_quotient(X[range(n), np.repeat(where[range(len(reps)), reps], sizes)], degrees, "T")
+
+    # counts[k, l]: the number of g with a_i and g b_j g^-1 commuting,
+    # (g b_j g^-1)^-1 in class k of C(a_i) and (g^-1 a_i g)^-1 in class l of
+    # C(b_j); as conj chi(x) = chi(x^-1), S = |G| / (|C(a)||C(b)|) X counts X^T
+    everything = np.arange(order)
+    inner = group.mul(group.mul(everything, reps[:, None]), group.inv)  # [j, g] = g b_j g^-1
+    counts = np.zeros((offsets[-1], offsets[-1]), dtype=np.int64)
     for i, a in enumerate(reps):
-        for j, gb in enumerate(inner):
-            keep = group.mul(a, gb) == group.mul(gb, a)
-            ka = tabs[i].class_of[cents[i].index_rows(group.images[gb[keep]])]
-            kb = tabs[j].class_of[cents[j].index_rows(group.images[outer[i][keep]])]
-            pair_counts[i][j] = Counter(zip(ka.tolist(), kb.tolist()))
+        j, g = np.nonzero(group.mul(a, inner) == group.mul(inner, a))
+        outer = group.mul(group.mul(group.inv[g], a), g)  # g^-1 a_i g
+        np.add.at(counts, (where[i, group.inv[inner[j, g]]], where[j, group.inv[outer]]), 1)
+    block = _inner(X, np.einsum("kl,ylp->ykp", counts, X), M)
+    if _top(block) * order >= 2**63:
+        block = block.astype(object)
+    centralizers = np.repeat([cent.order for cent in cents], sizes)
+    s = _exact_quotient(block * order, np.multiply.outer(centralizers, centralizers)[:, :, None], "S")
 
-    s = [[None] * n for _ in range(n)]
-    for xi, lx in enumerate(labels):
-        tab_x = tabs[lx.class_index]
-        cx = cents[lx.class_index].order
-        for yi, ly in enumerate(labels):
-            tab_y = tabs[ly.class_index]
-            cy = cents[ly.class_index].order
-            acc = Cyclotomic.zero()
-            for (ka, kb), cnt in pair_counts[lx.class_index][ly.class_index].items():
-                term = (
-                    tab_x.chars[lx.char_row][ka].conjugate()
-                    * tab_y.chars[ly.char_row][kb].conjugate()
-                )
-                acc = acc + term * cnt
-            s[xi][yi] = acc * Fraction(order, cx * cy)
-
+    value = cache(lambda coords: Cyclotomic(M, dict(enumerate(coords))))  # one per distinct entry
     md = ModularData(
         group=group,
         labels=tuple(labels),
-        S=tuple(tuple(row) for row in s),
-        T=tuple(t_diag),
-        dims=dims,
+        S=tuple(tuple(map(value, map(tuple, row))) for row in s.tolist()),
+        T=tuple(map(value, map(tuple, t.tolist()))),
+        dims=tuple(l.dim for l in labels),
         global_dim=order * order,
         charge_conjugation=(),
     )
-    conj = _certify_modular(md)
-    md.charge_conjugation = conj
+    md.charge_conjugation = _certify_modular(md)
     return md
 
 
+def _exact_quotient(a, b, name):
+    """a // b, or InvariantFailure at the first entry of matrix name that b does not divide."""
+    q, r = np.divmod(a, b)
+    if r.any():
+        raise InvariantFailure("exact_division", name + "".join(f"[{i}]" for i in np.argwhere(r)[0][:-1]))
+    return q
+
+
+def _encoded(md):
+    """((m, L, A), (mt, lt, T)): the coordinates of L*S and lt*T as built by
+    ``cyclo._coordinates``, encoded once per instance."""
+    if md._encoding is None:
+        mt, lt, T = _coordinates([md.T])
+        md._encoding = _coordinates(md.S), (mt, lt, T[0])
+    return md._encoding
+
+
 def _certify_modular(md):
-    n = md.size
-    s, t, dims = md.S, md.T, md.dims
-    if sum(d * d for d in dims) != md.global_dim:
+    dims = np.array(md.dims, dtype=object)
+    (m, scale, A), (mt, lt, T) = _encoded(md)
+    if sum(d * d for d in md.dims) != md.global_dim:
         raise InvariantFailure("global_dim", "squared dims do not sum to |G|^2")
-    if t[0] != Cyclotomic.one():
+    if T[0, 0] != lt or T[0, 1:].any():
         raise InvariantFailure("unit_twist")
-    for x in range(n):
-        acc = Cyclotomic.one()
-        for _ in range(2 * t[x].conductor):
-            acc = acc * t[x]
-        if acc != Cyclotomic.one():
-            raise InvariantFailure("twist_not_root_of_unity", f"T[{x}]")
-    for x in range(n):
-        if s[0][x] != Cyclotomic.rational(dims[x]):
+    # the roots of unity of Q(zeta_mt) are +-zeta_mt^k; lt zeta_mt^k fits T's dtype, as T[0] = lt does
+    roots = lt * np.array(_monomial_reduction(mt)[:mt], dtype=T.dtype)
+    bad = np.flatnonzero(~(T[:, None] == np.concatenate([roots, -roots])).all(axis=2).any(axis=1))
+    if bad.size:
+        raise InvariantFailure("twist_not_root_of_unity", f"T[{bad[0]}]")
+    # label by label: the dimension row entry, then symmetry right of the diagonal
+    wrong = (A[0, :, 0] != scale * dims) | A[0, :, 1:].any(axis=1)
+    asymmetric = np.triu((A != A.swapaxes(0, 1)).any(axis=2))
+    first = np.flatnonzero(wrong | (dims == 0) | asymmetric.any(axis=1))
+    if first.size:
+        x = first[0]
+        if wrong[x]:
             raise InvariantFailure("dimension_row", f"S[0][{x}] != dim")
         if dims[x] == 0:
             raise InvariantFailure("dimension_row", f"dim {x} is zero")
-        for y in range(x, n):
-            if s[x][y] != s[y][x]:
-                raise InvariantFailure("symmetry", f"S[{x}][{y}]")
+        raise InvariantFailure("symmetry", f"S[{x}][{np.flatnonzero(asymmetric[x])[0]}]")
     # S.S = global_dim * permutation of order <= 2, as L^2 S.S on A
-    m, scale, A = _coordinates(s)
     square = _inner(A, A, m)  # S is symmetric: (S.S)[x][y] = sum_t S[x][t] S[y][t]
-    target = scale * scale * md.global_dim
     nonzero = (square != 0).any(axis=2)
-    conj = [None] * n
-    for x in range(n):
-        hits = np.flatnonzero(nonzero[x]).tolist()
-        for y in hits:
-            if int(square[x, y, 0]) != target or (square[x, y, 1:] != 0).any():
-                raise InvariantFailure("s_squared", f"entry ({x},{y}) is neither 0 nor the global dimension")
-        if len(hits) != 1:
-            raise InvariantFailure("s_squared", f"row {x} is not a permutation row")
-        conj[x] = hits[0]
-    for x in range(n):
-        if conj[conj[x]] != x:
-            raise InvariantFailure("charge_conjugation_order")
+    wrong = nonzero & ((square[:, :, 0] != scale * scale * md.global_dim) | square[:, :, 1:].any(axis=2))
+    first = np.flatnonzero(wrong.any(axis=1) | (nonzero.sum(axis=1) != 1))
+    if first.size:
+        x = first[0]
+        if wrong[x].any():
+            y = np.flatnonzero(wrong[x])[0]
+            raise InvariantFailure("s_squared", f"entry ({x},{y}) is neither 0 nor the global dimension")
+        raise InvariantFailure("s_squared", f"row {x} is not a permutation row")
+    conj = nonzero.argmax(axis=1)
+    if (conj[conj] != np.arange(len(conj))).any():
+        raise InvariantFailure("charge_conjugation_order")
     if conj[0] != 0:
         raise InvariantFailure("charge_conjugation_unit")
-    return tuple(conj)
+    return tuple(conj.tolist())
 
 
 def _verlinde_system(md):
     """(X, products, m) with sum_z N[x][y][z] X[z] = products(x)[y] the
     Verlinde decomposition: X[z][t] = L d_t A[z][t] and
     products(x)[y][t] = A[x][t] A[y][t]."""
-    m, scale, A = _coordinates(md.S)
+    m, scale, A = _encoded(md)[0]
     weights = np.array([scale * d for d in md.dims], dtype=object)  # L d_t, as Python ints
     return A * weights[:, None], lambda x: _pointwise(A[x], A, m), m
 
@@ -226,17 +225,18 @@ def verlinde_fusion(md):
     return ring
 
 
-def _centralizes(md, x, y):
-    return md.S[x][y] == Cyclotomic.rational(md.dims[x] * md.dims[y])
+def _centralizing(md, targets):
+    """The labels x with S[x][y] = d_x d_y for every y in targets."""
+    _, scale, A = _encoded(md)[0]
+    dims = np.array(md.dims, dtype=object)
+    trivial = (A[:, :, 0] == scale * np.multiply.outer(dims, dims)) & ~A[:, :, 1:].any(axis=2)
+    return tuple(np.flatnonzero(trivial[:, list(targets)].all(axis=1)).tolist())
 
 
 def centralizer_subset(md, subset):
     """Labels whose double braiding with everything in the closed subset is
     trivial, detected by S[x][y] = d_x d_y."""
-    closed = rings._generated(_fusion_tensor(md), md.charge_conjugation, subset)
-    return tuple(
-        x for x in range(md.size) if all(_centralizes(md, x, y) for y in closed)
-    )
+    return _centralizing(md, rings._generated(_fusion_tensor(md), md.charge_conjugation, subset))
 
 
 def mueger_center(md):
@@ -246,8 +246,7 @@ def mueger_center(md):
 def is_tannakian_subset(md, subset):
     """TANNAKIAN / SUPER_TANNAKIAN_ONLY / NOT_SYMMETRIC for a based subset."""
     closed = rings._generated(_fusion_tensor(md), md.charge_conjugation, subset)
-    cent = set(centralizer_subset(md, closed))
-    if not set(closed) <= cent:
+    if not set(closed) <= set(_centralizing(md, closed)):
         return NOT_SYMMETRIC
     if all(md.T[x] == Cyclotomic.one() for x in closed):
         return TANNAKIAN
@@ -258,17 +257,12 @@ def projective_centralizer(md, subset):
     """Labels centralizing every simple in the support of y (x) y* over the subset."""
     closed = list(rings._generated(_fusion_tensor(md), md.charge_conjugation, subset))
     duals = [md.charge_conjugation[y] for y in closed]
-    targets = np.flatnonzero((_fusion_tensor(md)[closed, duals] > 0).any(axis=0)).tolist()
-    return tuple(
-        x for x in range(md.size) if all(_centralizes(md, x, z) for z in targets)
-    )
+    return _centralizing(md, np.flatnonzero((_fusion_tensor(md)[closed, duals] > 0).any(axis=0)))
 
 
 def central_charge(md):
     """Numeric tau+ / sqrt(global dim); equals 1 for doubles."""
-    tau = complex(0)
-    for x in range(md.size):
-        tau += md.T[x].numeric() * md.dims[x] ** 2
+    tau = sum((md.T[x].numeric() * md.dims[x] ** 2 for x in range(md.size)), complex(0))
     return tau / math.sqrt(md.global_dim)
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fusionrings import tables
 from fusionrings.chartab import character_table
-from fusionrings.cyclo import Cyclotomic
+from fusionrings.cyclo import Cyclotomic, _coordinates
 from fusionrings.perms import PermGroup, Permutation
 
 
@@ -68,6 +68,10 @@ def test_character_table_matches_group_facts(case):
     assume(group.order <= 720)
     table = character_table(group)
     r = table.num_classes
+
+    # the encoding the table stores is the coordinates of its values
+    m, scale, coords = _coordinates(table.chars)
+    assert (table.m, scale) == (m, 1) and np.array_equal(table.codes[table.index], coords)
     class_of = group.class_index_map()
     chars = table.chars
     reps = [group.index_of(rep) for rep, _ in table.classes]

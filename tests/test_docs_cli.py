@@ -1,5 +1,6 @@
 """Document round-trips and the command-line surface."""
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from fusionrings import docs, rings
 from fusionrings.chartab import MAX_CLASSES, character_table, rep_g_fusion_ring
 from fusionrings.cli import main, parse_group_spec
 from fusionrings.doubles import double_modular_data
-from fusionrings.perms import symmetric_group
+from fusionrings.perms import Permutation, symmetric_group
 
 
 def run_cli(args, stdin=None, capsys=None):
@@ -472,3 +473,202 @@ def test_cli_chartab_refuses_too_many_classes_quickly(capsys):
     err = capsys.readouterr().err
     assert f"{MAX_CLASSES + 1} conjugacy classes" in err and str(MAX_CLASSES) in err
     assert run_cli(["chartab", f"C{MAX_CLASSES}"])[0] == 0
+
+
+def _payload_digest(text):
+    return hashlib.sha256(docs.dumps(docs.loads(text)["payload"]).encode()).hexdigest()
+
+
+def _conjugated_spec(spec, cycle):
+    """A custom: spec of the group of spec with its generators conjugated by a cycle."""
+    group = parse_group_spec(spec)
+    s = Permutation.from_cycles(group.degree, [cycle])
+    return f"custom:{group.degree}:" + "|".join((s.inverse() * g * s).cycle_string() for g in group.generators)
+
+
+# sha256 of the payloads (docs.dumps) of `double`, `double --smatrix`,
+# `double --tmatrix` and `verlinde` on the `double` document, recorded while
+# S was still assembled in Cyclotomic arithmetic
+PINNED_DOUBLES = [
+    ("C2", "C2", "00b4f0d9f35aa876a7ab5627784ec8eb53668098b553853b40a33a13da2bc5c7",
+     "c841e77a9249e74836191fd20bafae37af5096f33d10a50346930c09542f74c8",
+     "72ae0df895694d0dae872e21e02ba007da297dc6b44413ab60da3897b2aef9f6",
+     "4dd1349015b1c1d2284afbec0df1053c474087820eb51b51f98874bf8ae011e9"),
+    ("C3", "C3", "eb323d4269349f725329f8268c33e896eea3415a3fcf44c550723f3d5f020e88",
+     "91503729de4b7314bd5ab5ff1907103635cb5d7e8983fa6af17a914a5b5c986f",
+     "77814b5afad27fa524050502a61c529396a241e6720168e988a355fc35c60398",
+     "049d175151756427be08c8723ec92f284e7750418bdc83f5bb4269d9883437c9"),
+    ("C6", "C6", "f155e4433c118d58396178de2c32d015f681cc5f71f835e8dd11996b4115b1a5",
+     "9d280c2f0189176238e1e46d7e8cc7a1e2b1d6ee44e14d597d48e63e033b84c5",
+     "ec1b5a1a788b4db851c04c5daa41f12489a64c3f455f5af69519adc458a0c7cf",
+     "fd672489b843c46e5e7937c2d362538e6bf96497e44ff3fd8b539b4aa14a4c28"),
+    ("S3", "S3", "ad72c5bfbf086a5d33181f77b24d7491087bc58c993bb477acc72b6b40addded",
+     "9c391a32f250e6fc491eaaf6232e2af7ca476732f6c86afd667dfd30389d0b11",
+     "e80578b1c87ddc377e15b10286c4de293b1b77432935adee97a298ff908ef653",
+     "602d844094c8c1f8a88ebcf24bb079738c92b1564341e170835d8b6ad93b0519"),
+    ("D4", "D4", "90b795be1bf94a2a5781dbadd2d1a4029bf92920b1d14f09a3d09973fbcddfc7",
+     "a0ac4af0062c8a30512b9e80259d5d2baf430afc3c90ed02e0e35ca9c8b2ca74",
+     "82f0260b6b1a82453b3f6773070cd8ebd37f44491f91e3f75c6075e5e714fde7",
+     "ad16275fce9518ffeb8753ff492b38839aef4e3537728db926817edd1ff30442"),
+    ("Q8", "custom:8:(1 2 3 4)(5 6 7 8)|(1 5 3 7)(2 8 4 6)",
+     "da576940c75ebae02df26c6eb1b9e8eda4b50ec9baff81a8cf89f5e6138e68d6",
+     "be25d490c1d7a27ce36fff41a2d27b80922951641049124b635a59030d7c71da",
+     "e1b3400b24656d3d744d766b2908db18aef4fc090d4b1c7a7078f030fd097a0d",
+     "f480159ff334c2ba1ce50c9f666eab376742e3241860a89337ecb17f395593db"),
+    ("A4", "A4", "dee84d32afa7aefd0aa56013c3607c13a26c3ad8e6964974e31ad31f1f72e1e5",
+     "52dbe15b7c3f6d48fc8f650366d2c3884d4c4f5c2437a7cb8a173bdc4870604f",
+     "74573dbc495e1f6a3e90fc254490a4c2d4977de8287109b3fa5e930fa95f2822",
+     "f827653022e934de8979908585afa6fe160c79537aa5502aad63e46101ec04bb"),
+    ("S4", "S4", "869777f04e811c49efd08a2ef0266973c018bebb7a4a4231f4a36a33df049776",
+     "e6f24705662988aa1bf6fe58530d3d6bb959f58b26d56248c01577239587f343",
+     "da985194d29a4291d043927480d9af05395a2c34884185850f9e3e4d4c4a3c52",
+     "04283715a1fdaac4a24fd48ba794c4ad2bafbcfd28ef33ecb539a9447bba72e8"),
+    ("A5", "A5", "57f4080b403c944da434d41ecac2cdc73065c9a49079a997157a69a383a5f9f3",
+     "af496e44e8f7104dea5f2a549515ad45d7f9d21c0068fdf7d0f085ca9d543d58",
+     "58f0dfb40d56c6bf0fc6086ce75a5e4531880f01b81e913b55ae748a1400f851",
+     "dc664666fa74147df9f324a2d2c487cf88a6ac9621476a892017967279647d15"),
+    ("S4 conjugated", "custom:4:(2 3)|(1 3 2 4)",
+     "3fa8f2404cd61cf4fedebf98938dd5ce773d0d16acdf046db10f8baa13d47cbd",
+     "e6f24705662988aa1bf6fe58530d3d6bb959f58b26d56248c01577239587f343",
+     "da985194d29a4291d043927480d9af05395a2c34884185850f9e3e4d4c4a3c52",
+     "04283715a1fdaac4a24fd48ba794c4ad2bafbcfd28ef33ecb539a9447bba72e8"),
+    ("D4 conjugated", "custom:4:(1 3 2 4)|(1 2)",
+     "5106e0e379478e0262389b2033b7b25324ee102fcc6a66b5b4e1be1fc75017ce",
+     "bafb5ca28d7fe442ce2384e86472113935e992b2210825cff3b8c3e8f5e1378f",
+     "630a3cd89deb026020256756d79e46908498958c36bbb68890cbd12c8fe65002",
+     "3b7e6c797d39063b068e430c594d5b5e6bf6997591accdff71bc6b89b1cd7da3"),
+]
+
+
+@pytest.mark.parametrize("spec, plain, smatrix, tmatrix, verlinde", [case[1:] for case in PINNED_DOUBLES],
+                         ids=[case[0] for case in PINNED_DOUBLES])
+def test_modular_documents_are_pinned(tmp_path, spec, plain, smatrix, tmatrix, verlinde):
+    digests = []
+    for flags in ([], ["--smatrix"], ["--tmatrix"]):
+        code, text = run_cli(["double", spec, *flags])
+        assert code == 0
+        digests.append(_payload_digest(text))
+    md = tmp_path / "md.json"
+    md.write_text(run_cli(["double", spec])[1])
+    code, text = run_cli(["verlinde", str(md)])
+    assert code == 0
+    assert digests + [_payload_digest(text)] == [plain, smatrix, tmatrix, verlinde]
+
+
+# sha256 of the `sequiv` witness payload of each double against the double of
+# a conjugated copy, recorded with the documents above
+@pytest.mark.parametrize(
+    "spec, cycle, conjugated, digest",
+    [
+        ("S3", (0, 2, 1), "custom:3:(1 3)|(1 2 3)",
+         "cc730564a2706204e72f37dafc486902dbe2db949a4e5c1ee5e166cd3958bc9b"),
+        ("A4", (0, 2, 3), "custom:4:(2 4 3)|(1 2 4)",
+         "2a2e09303a61225e3a80f5e220d34f0511a313775f7cfdf6509327bf6bfafbba"),
+    ],
+    ids=["S3", "A4"],
+)
+def test_sequiv_witnesses_are_pinned(tmp_path, spec, cycle, conjugated, digest):
+    assert _conjugated_spec(spec, cycle) == conjugated
+    files = []
+    for name, s in (("a", spec), ("b", conjugated)):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(run_cli(["double", s])[1])
+    code, text = run_cli(["sequiv", *map(str, files)])
+    assert code == 0 and docs.loads(text)["payload"]["found"] is True
+    assert _payload_digest(text) == digest
+
+
+def _value(q, conductor=1, exponent=0):
+    """The modulardata form of q * zeta_conductor^exponent (q a "p/q" string or 0)."""
+    return {"conductor": conductor, "coeffs": [[exponent, q]] if q else []}
+
+
+def _set_s(p, x, y, value, symmetric=True):
+    p["s"][x][y] = value
+    if symmetric:
+        p["s"][y][x] = value
+
+
+def _break_global_dim(p):
+    p["global_dim"] = 35
+
+
+def _break_unit_twist(p):
+    p["t"][0] = _value("-1/1")
+
+
+def _break_twist_root(p):
+    p["t"][7] = _value("-1/1", 3, 1)  # -zeta_3, a root of unity of order 6: still fine
+    p["t"][3] = {"conductor": 4, "coeffs": [[0, "3/5"], [1, "4/5"]]}  # modulus 1, not a root of unity
+    p["t"][6] = _value("2/1")
+
+
+def _break_twist_signs(p):
+    p["t"][4] = {"conductor": 3, "coeffs": [[0, "1/1"], [1, "-1/1"]]}  # 1 - zeta_3: +-1 at each coordinate
+
+
+def _break_twist_half(p):
+    p["t"][5] = _value("1/2")
+
+
+def _break_dimension_entry(p):
+    _set_s(p, 0, 2, _value("3/1"))
+    _set_s(p, 4, 6, _value("1/1"), symmetric=False)  # a later symmetry failure
+
+
+def _break_zero_dim(p):
+    p["dims"][7] = 0
+    p["global_dim"] = 27
+    _set_s(p, 0, 7, _value(0))
+
+
+def _break_symmetry(p):
+    _set_s(p, 4, 1, _value("5/1"), symmetric=False)
+    _set_s(p, 6, 2, _value("7/1"), symmetric=False)
+    _set_s(p, 0, 3, _value("5/1"))  # a dimension row failure at a later label
+
+
+def _break_symmetry_first_in_row(p):
+    _set_s(p, 2, 7, _value("1/1"), symmetric=False)
+    _set_s(p, 2, 5, _value("1/1"), symmetric=False)
+
+
+def _break_s_squared(p):
+    _set_s(p, 2, 5, _value("-1/1"))
+
+
+@pytest.mark.parametrize(
+    "breaker, message",
+    [
+        (_break_global_dim, "global_dim failed: squared dims do not sum to |G|^2"),
+        (_break_unit_twist, "unit_twist failed"),
+        (_break_twist_root, "twist_not_root_of_unity failed: T[3]"),
+        (_break_twist_signs, "twist_not_root_of_unity failed: T[4]"),
+        (_break_twist_half, "twist_not_root_of_unity failed: T[5]"),
+        (_break_dimension_entry, "dimension_row failed: S[0][2] != dim"),
+        (_break_zero_dim, "dimension_row failed: dim 7 is zero"),
+        (_break_symmetry, "symmetry failed: S[1][4]"),
+        (_break_symmetry_first_in_row, "symmetry failed: S[2][5]"),
+        (_break_s_squared, "s_squared failed: entry (0,2) is neither 0 nor the global dimension"),
+    ],
+    ids=["global_dim", "unit_twist", "twist_root", "twist_signs", "twist_half", "dimension_entry", "zero_dim",
+         "symmetry", "symmetry_first_in_row", "s_squared"],
+)
+def test_cli_modular_invariants_fail_at_their_first_entry(tmp_path, capsys, breaker, message):
+    """Well-formed modulardata documents that break one certified invariant
+    of D(S3) exit 4 naming the invariant and its first failing entry."""
+    doc = docs.loads(run_cli(["double", "S3"])[1])
+    breaker(doc["payload"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(docs.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["verlinde", str(bad)]) == (4, "")
+    assert capsys.readouterr().err == f"error: invariant: {message}\n"
+
+
+def test_cli_modular_twists_may_be_any_root_of_unity(tmp_path):
+    doc = docs.loads(run_cli(["double", "S3"])[1])
+    doc["payload"]["t"][7] = _value("-1/1", 3, 1)  # -zeta_3: conductor 3, order 6
+    good = tmp_path / "good.json"
+    good.write_text(docs.dumps(doc))
+    assert run_cli(["verlinde", str(good)])[0] == 0

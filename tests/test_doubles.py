@@ -428,3 +428,25 @@ def test_s_equivalence_refutes_c4_against_klein_four():
     md1, md2 = double_modular_data(cyclic_group(4)), double_modular_data(klein)
     assert md1.size == md2.size == 16 and md1.global_dim == md2.global_dim
     assert s_equivalence(md1, md2) is None
+
+
+@pytest.mark.parametrize("group", [symmetric_group(3), alternating_group(4), cyclic_group(6)], ids=["S3", "A4", "C6"])
+def test_modular_layer_does_no_cyclotomic_arithmetic(group, monkeypatch):
+    """The double, its certificate, the Verlinde ring, the centralizers and
+    the S-equivalence search run on coordinate arrays; Cyclotomics are only
+    constructed, compared and hashed."""
+    def refuse(*args):
+        raise AssertionError("Cyclotomic arithmetic in the modular-data layer")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__", "inverse", "conjugate"):
+        monkeypatch.setattr(Cyclotomic, name, refuse)
+    md = double_modular_data(group)
+    other = double_modular_data(_conjugated(group, (0, 2, 1)))
+    assert rings.fp_dims(verlinde_fusion(md)).total == md.global_dim
+    assert s_equivalence(md, other)[0] == 0
+    assert centralizer_subset(md, (0,)) == tuple(range(md.size))
+    assert centralizer_subset(md, range(md.size)) == (0,)  # the Mueger centre of a double
+    assert projective_centralizer(md, (0,)) == tuple(range(md.size))
+    assert is_tannakian_subset(md, tuple(x for x, l in enumerate(md.labels) if l.class_rep.is_identity())) == TANNAKIAN
+    with pytest.raises(AssertionError, match="Cyclotomic arithmetic"):
+        md.S[1][1] * md.S[1][1]
