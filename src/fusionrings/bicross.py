@@ -2,12 +2,14 @@
 invariants of the split bicrossed product k^Gamma # kF.
 
 Irreducibles are indexed by (F-orbit on Gamma, irreducible of the stabilizer);
-their characters live on the basis {e_t # y}, products of characters follow
-the comultiplication sum over factorizations g*h = t in Gamma.  Fusion
-multiplicities are solved and certified by the decomposition kernel of
-``rings`` at n pivot columns (t, y): the first at which the echelon form of
-the characters' integer coordinates over F_p, at the kernel's prime, shows
-them independent, which proves them independent over Q(zeta_m).
+orbits with one stabilizer share its subgroup, character table and cosets,
+so each distinct stabilizer gets one table.  Their characters live on the
+basis {e_t # y}, products of characters follow the comultiplication sum over
+factorizations g*h = t in Gamma.  Fusion multiplicities are solved and
+certified by the decomposition kernel of ``rings`` at n pivot columns (t, y):
+the first at which the echelon form of the characters' integer coordinates
+over F_p, at the kernel's prime, shows them independent, which proves them
+independent over Q(zeta_m).
 """
 
 from __future__ import annotations
@@ -177,14 +179,17 @@ def split_irreps(mp, cocycles=None):
         raise ValueError("only split products (trivial cocycles) are supported")
     f, gamma = mp.f, mp.gamma
     out = []
+    per_stabilizer = {}  # stabilizer -> its table and canonical left coset reps
     for orb in gamma_action(mp).orbits():
         s = orb.representative
         stab = orb.stabilizer
-        table = character_table(stab)
-        # coset rep x_i <-> weight s <| x_i^(-1); enumerate cosets canonically
-        _, reps = tables.left_cosets(f, f.index_rows(stab.images))
-        weights = mp.ltab[gamma.index_of(s), f.inv[reps]]
-        assert sorted(gamma.element(t) for t in weights) == sorted(orb.members)
+        if stab not in per_stabilizer:
+            _, reps = tables.left_cosets(f, f.index_rows(stab.images))
+            per_stabilizer[stab] = character_table(stab), reps, tuple(map(f.element, reps))
+        table, reps, coset_reps = per_stabilizer[stab]
+        # coset rep x_i <-> weight s <| x_i^(-1)
+        weights = tuple(map(gamma.element, mp.ltab[gamma.index_of(s), f.inv[reps]]))
+        assert sorted(weights) == sorted(orb.members)
         for row in range(table.num_classes):
             out.append(
                 ExtIrrep(
@@ -192,8 +197,8 @@ def split_irreps(mp, cocycles=None):
                     stabilizer=stab,
                     stab_table=table,
                     stab_row=row,
-                    coset_reps=tuple(f.element(x) for x in reps),
-                    weights=tuple(gamma.element(t) for t in weights),
+                    coset_reps=coset_reps,
+                    weights=weights,
                 )
             )
     dims = [w.dim for w in out]
@@ -253,20 +258,22 @@ def _characters(mp, irreps):
     m = math.lcm(*(w.stab_table.m for w in irreps))
     chi = np.zeros((len(irreps), gamma.order, f.order, _phi(m)), dtype=np.int64)
     every_y = np.arange(f.order)
-    orbits = {}  # orbit representative -> its weights, its table's values at m and the class of each x^-1 y x
+    stabilizers = {}  # stabilizer -> its table's values at m and the class of each x^-1 y x
+    weights = {}  # orbit representative -> its weights
     for i, w in enumerate(irreps):
         table = w.stab_table
-        if w.orbit_rep not in orbits:
+        if w.stabilizer not in stabilizers:
             # -1, a dead class, outside the stabilizer
             class_in_f = np.full(f.order, -1, dtype=np.intp)
             class_in_f[f.index_rows(w.stabilizer.images)] = table.class_of
             x = np.array([f.index_of(xi) for xi in w.coset_reps])
-            t = np.array([gamma.index_of(ti) for ti in w.weights])
             # the table's distinct values at m, then 0 for the dead class
             codes = np.concatenate([_lift(table.codes, table.m, m), np.zeros((1, chi.shape[3]), dtype=np.int64)])
-            orbits[w.orbit_rep] = t, codes, class_in_f[f.mul(f.mul(f.inv[x][:, None], every_y), x[:, None])]
-        t, codes, classes = orbits[w.orbit_rep]
-        chi[i, t] = codes[np.append(table.index[w.stab_row], -1)[classes]]
+            stabilizers[w.stabilizer] = codes, class_in_f[f.mul(f.mul(f.inv[x][:, None], every_y), x[:, None])]
+        if w.orbit_rep not in weights:
+            weights[w.orbit_rep] = np.array([gamma.index_of(ti) for ti in w.weights])
+        codes, classes = stabilizers[w.stabilizer]
+        chi[i, weights[w.orbit_rep]] = codes[np.append(table.index[w.stab_row], -1)[classes]]
     return m, chi
 
 

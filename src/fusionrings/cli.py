@@ -28,6 +28,7 @@ from .errors import (
     NotExactFactorization,
     SearchBudgetExceeded,
     TooManyClasses,
+    TooManyLabels,
     WorkbenchError,
 )
 from .perms import (
@@ -306,7 +307,7 @@ def main(argv=None):
     command = "fusionrings " + " ".join(argv)
     try:
         return args.fn(args, command)
-    except (SearchBudgetExceeded, ClosureTooLarge, TooManyClasses) as exc:
+    except (SearchBudgetExceeded, ClosureTooLarge, TooManyClasses, TooManyLabels) as exc:
         print(f"error: budget: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, NotExactFactorization, NotAutomorphism) as exc:

@@ -121,7 +121,7 @@ def ring_payload(ring):
     payload = {
         "labels": list(ring.labels),
         "dual": list(ring.dual),
-        "tensor": [int(x) for x in ring.N.flatten()],
+        "tensor": ring.N.ravel().tolist(),
     }
     if dims.exact:
         payload["dims"] = list(dims.dims)

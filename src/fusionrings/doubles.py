@@ -35,11 +35,15 @@ from . import rings
 from .chartab import character_table
 from .cyclo import Cyclotomic, _coordinates, _inner, _lift, _monomial_reduction, _phi, _pointwise, _top
 from .equivalence import _node_budget, _search
-from .errors import InvariantFailure, NonIntegralMultiplicity, SingularS
+from .errors import InvariantFailure, NonIntegralMultiplicity, SingularS, TooManyLabels
 
 TANNAKIAN = "TANNAKIAN"
 SUPER_TANNAKIAN_ONLY = "SUPER_TANNAKIAN_ONLY"
 NOT_SYMMETRIC = "NOT_SYMMETRIC"
+
+# S and its S^2 certificate hold (labels x phi(M))^2 intermediate sums;
+# doubles with more labels are refused before any table is built.
+MAX_LABELS = 1024
 
 
 @dataclass(frozen=True)
@@ -80,13 +84,15 @@ def double_modular_data(group, twist=None):
     classes = group.conjugacy_classes()
     order = group.order
     cents = [group.centralizer_of(rep) for rep, _ in classes]
+    n = sum(int(c.class_index_map().max()) + 1 for c in cents)  # one label per centralizer class
+    if n > MAX_LABELS:
+        raise TooManyLabels(f"{n} labels exceed the double's label bound of {MAX_LABELS}")
     tabs = [character_table(c) for c in cents]
     labels = [
         DoubleLabel(class_index=ci, class_rep=rep, char_row=row, dim=len(members) * tabs[ci].degrees[row])
         for ci, (rep, members) in enumerate(classes)
         for row in range(tabs[ci].num_classes)
     ]
-    n = len(labels)
 
     # column k of X is a class of one centralizer C(a_i); label (i, row) holds
     # chi_row there, as Z[zeta_M] coordinates, and 0 in the other columns

@@ -1,7 +1,9 @@
 """Grothendieck equivalence of based rings: invariant fingerprints, pruned
 backtracking search for a witness bijection, and consequence verification.
 The search runs on int arrays of any arity: ``doubles.s_equivalence`` runs it
-on S-matrices encoded as integer colours."""
+on S-matrices encoded as integer colours.  Element profiles are read off one
+sort per row of the tensor, and each search node checks only the entries its
+new assignment completes, gathered by one index array per depth."""
 
 from __future__ import annotations
 
@@ -29,19 +31,33 @@ class EquivalenceWitness:
     bijection: tuple  # index map, domain ring -> codomain ring
 
 
+def _value_counts(rows):
+    """Per row of the int array ``rows``, its sorted (value, count) pairs,
+    read off the runs of one sort per row."""
+    rows = np.sort(rows, axis=1)
+    n, width = rows.shape
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    r, c = np.nonzero(starts)
+    ends = np.append(c[1:], width)
+    ends[np.flatnonzero(r[1:] != r[:-1])] = width  # a row's last run ends at its width
+    pairs = list(zip(rows[r, c].tolist(), (ends - c).tolist()))
+    bounds = np.cumsum(np.bincount(r, minlength=n)).tolist()
+    return [tuple(pairs[a:b]) for a, b in zip([0] + bounds, bounds)]
+
+
 def _profiles(ring):
-    """Relabeling-invariant profile of each basis element."""
+    """Relabeling-invariant profile of each basis element i: its dimension,
+    its dual's dimension, whether it is self-dual, the value counts of
+    N[i], the sorted row sums of N[i] and the value counts of its diagonal."""
     dims, N, dual = rings.fp_dims(ring).dims, ring.N, ring.dual
+    n = ring.size
+    entries = _value_counts(N.reshape(n, -1))
+    diagonals = _value_counts(N[:, range(n), range(n)])
+    sums = np.sort(N.sum(axis=2), axis=1).tolist()
     return [
-        (
-            dims[i],
-            dims[dual[i]],
-            dual[i] == i,
-            tuple(sorted(Counter(map(int, N[i].flatten())).items())),
-            tuple(sorted(map(int, N[i].sum(axis=1)))),
-            tuple(sorted(Counter(map(int, N[i].diagonal())).items())),
-        )
-        for i in range(ring.size)
+        (dims[i], dims[dual[i]], dual[i] == i, entries[i], tuple(sums[i]), diagonals[i])
+        for i in range(n)
     ]
 
 
@@ -71,30 +87,35 @@ def _search(T1, T2, prof1, prof2, budget):
     T1 and T2 are square int arrays of one arity; x may go to y only when
     prof1[x] == prof2[y].  Index 0 is assigned first, then the others by
     fewest candidates.  Each candidate tried counts one node against the
-    budget before it is checked on every entry it completes, as one face
-    slice per axis.  None is returned only once the tree is exhausted; a
-    found bijection is checked on the full arrays.
+    budget before it is checked on every entry it completes: the entries
+    with one index at the new position and the others assigned, gathered by
+    one index array per depth.  None is returned only once the tree is
+    exhausted; a found bijection is checked on the full arrays.
     """
-    n = len(prof1)
+    n, arity = len(prof1), T1.ndim
     candidates = [tuple(j for j in range(n) if prof2[j] == prof1[i]) for i in range(n)]
     if any(not c for c in candidates):
         return None
     order = [0] + sorted(range(1, n), key=lambda i: (len(candidates[i]), i))
-    faces = [(np.moveaxis(T1, axis, 0), np.moveaxis(T2, axis, 0)) for axis in range(T1.ndim)]
-    src, dst = [], []  # assigned indices and their images, in search order
+    src = np.array(order)  # src[k] is assigned at depth k
+    dst = np.zeros(n, dtype=np.intp)  # and goes to dst[k]
     used = [False] * n
     nodes = deepest = 0
 
-    def fits(i, j):
-        a, b = np.ix_(*[src] * (T1.ndim - 1)), np.ix_(*[dst] * (T1.ndim - 1))
-        return all(np.array_equal(f1[i][a], f2[j][b]) for f1, f2 in faces)
+    def faces(depth):
+        """Search positions of the entries that depth completes: one per
+        axis and per tuple of positions up to depth, with depth at that axis."""
+        rest = np.indices((depth + 1,) * (arity - 1)).reshape(arity - 1, -1)
+        at = np.full((1, rest.shape[1]), depth)
+        return np.concatenate([np.concatenate([rest[:a], at, rest[a:]]) for a in range(arity)], axis=1)
 
     def dfs(depth):
         nonlocal nodes, deepest
         if depth == n:
             return True
         i = order[depth]
-        src.append(i)
+        pos = faces(depth)
+        want = T1[tuple(src[pos])]
         for j in candidates[i]:
             if used[j]:
                 continue
@@ -103,20 +124,18 @@ def _search(T1, T2, prof1, prof2, budget):
                 raise SearchBudgetExceeded(
                     f"budget {budget} hit: {budget} nodes visited, deepest depth {deepest} of {n}"
                 )
-            dst.append(j)
-            if fits(i, j):
+            dst[depth] = j
+            if np.array_equal(want, T2[tuple(dst[pos])]):
                 used[j] = True
                 deepest = max(deepest, depth + 1)
                 if dfs(depth + 1):
                     return True
                 used[j] = False
-            dst.pop()
-        src.pop()
         return False
 
     if not dfs(0):
         return None
-    f = tuple(j for _, j in sorted(zip(src, dst)))
+    f = tuple(dst[np.argsort(src)].tolist())
     if not np.array_equal(T1, T2[np.ix_(*[f] * T1.ndim)]):
         raise AssertionError("witness failed full verification (bug)")
     return f

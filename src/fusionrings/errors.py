@@ -13,6 +13,10 @@ class TooManyClasses(WorkbenchError):
     """A character table was asked for more classes than its work bound."""
 
 
+class TooManyLabels(WorkbenchError):
+    """A quantum double was asked for more simple objects than its work bound."""
+
+
 class LiftFailure(WorkbenchError):
     """Character-table modular lift could not be certified."""
 

@@ -356,20 +356,27 @@ class GroupAction:
                 raise ValueError("not an action: composition fails")
 
     def orbits(self):
-        """Orbits sorted by (size, representative position); reps carry stabilizers."""
+        """Orbits sorted by (size, representative position); reps carry
+        stabilizers, one PermGroup per distinct stabilizer, shared by every
+        orbit whose representative it fixes."""
         unseen = np.ones(len(self.domain), dtype=bool)
         out = []
+        stabilizers = {}  # bytes of the fixer indices -> their subgroup
         for i in range(len(self.domain)):
             if not unseen[i]:
                 continue
             images = self.table[:, i]
             members = np.unique(images)
             unseen[members] = False
+            fixers = np.flatnonzero(images == i)
+            key = fixers.tobytes()
+            if key not in stabilizers:
+                stabilizers[key] = self.group._sub(fixers)
             out.append(
                 Orbit(
                     representative=self.domain[i],
                     members=tuple(self.domain[j] for j in members.tolist()),
-                    stabilizer=self.group._sub(np.flatnonzero(images == i)),
+                    stabilizer=stabilizers[key],
                 )
             )
         out.sort(key=lambda o: len(o.members))

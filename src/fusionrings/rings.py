@@ -258,8 +258,9 @@ def fp_dims(ring):
     d = v / v[0]
     cand = np.rint(d).astype(np.int64)
     if np.all(cand >= 1):
-        lhs = np.einsum("ijk,k->ij", ring.N, cand)
-        if np.array_equal(lhs, np.outer(cand, cand)):
+        top = _top(cand)
+        c = cand.astype(_exact_dtype(max(n * _top(ring.N) * top, top * top)))
+        if np.array_equal(ring.N.astype(c.dtype) @ c, np.outer(c, c)):
             dims = tuple(int(x) for x in cand)
             result = FPDims(dims=dims, exact=True, total=int(sum(x * x for x in dims)))
             ring._dims = result

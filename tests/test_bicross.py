@@ -416,3 +416,18 @@ def test_pivot_cells_reject_dependent_characters():
     chi = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]).reshape(3, 1, 3, 1)
     with pytest.raises(SingularCharacterSystem, match="only 2 independent character columns"):
         _pivot_cells(chi, 1, (1, 1, 1))
+
+
+def test_split_irreps_builds_one_table_per_distinct_stabilizer(monkeypatch):
+    import fusionrings.bicross as bicross
+    from fusionrings.catalog import pair_cyclic_symmetric
+
+    built = []
+    table = bicross.character_table
+    monkeypatch.setattr(bicross, "character_table", lambda group: built.append(group) or table(group))
+    # S6 = C6.S5 has 24 orbits, B5 33 and J5 (S5 = C5.S4) 8
+    for mp, orbits, tables in ((pair_cyclic_symmetric(6), 24, 4), (pair_b5(), 33, 2), (pair_in_s5_c5_s4(), 8, 2)):
+        built.clear()
+        irreps = split_irreps(mp)
+        assert len({w.orbit_rep for w in irreps}) == orbits
+        assert len(built) == len(set(built)) == len({w.stabilizer for w in irreps}) == tables

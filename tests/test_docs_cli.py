@@ -10,7 +10,7 @@ import pytest
 from fusionrings import docs, rings
 from fusionrings.chartab import MAX_CLASSES, character_table, rep_g_fusion_ring
 from fusionrings.cli import main, parse_group_spec
-from fusionrings.doubles import double_modular_data
+from fusionrings.doubles import MAX_LABELS, double_modular_data
 from fusionrings.perms import Permutation, symmetric_group
 
 
@@ -473,6 +473,17 @@ def test_cli_chartab_refuses_too_many_classes_quickly(capsys):
     err = capsys.readouterr().err
     assert f"{MAX_CLASSES + 1} conjugacy classes" in err and str(MAX_CLASSES) in err
     assert run_cli(["chartab", f"C{MAX_CLASSES}"])[0] == 0
+
+
+def test_cli_double_refuses_too_many_labels_quickly(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(["double", "C60"])  # 60 centralizers of 60 classes each
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert "3600 labels" in err and str(MAX_LABELS) in err
+    assert run_cli(["double", "C20"])[0] == 0  # 400 labels
+    assert run_cli(["double", "S5"])[0] == 0
 
 
 def _payload_digest(text):

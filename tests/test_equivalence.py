@@ -2,13 +2,14 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fusionrings import rings
 from fusionrings.chartab import character_table, rep_g_fusion_ring
-from fusionrings.equivalence import EquivalenceWitness, find_equivalence, fingerprint, verify_properties
+from fusionrings.equivalence import EquivalenceWitness, _profiles, find_equivalence, fingerprint, verify_properties
 from fusionrings.errors import SearchBudgetExceeded
 from fusionrings.perms import (
     PermGroup,
@@ -186,3 +187,40 @@ def test_budget_error_reports_progress():
     other = ring.relabel([0, 4, 10, 9, 3, 8, 5, 11, 1, 7, 6, 2])
     with pytest.raises(SearchBudgetExceeded, match=r"20 nodes visited, deepest depth \d+ of 12"):
         find_equivalence(ring, other, budget=20)
+
+
+def counter_profiles(ring):
+    """Oracle: the element profiles as Python Counters over every entry."""
+    dims, N, dual = rings.fp_dims(ring).dims, ring.N, ring.dual
+    return [
+        (
+            dims[i],
+            dims[dual[i]],
+            dual[i] == i,
+            tuple(sorted(Counter(map(int, N[i].flatten())).items())),
+            tuple(sorted(map(int, N[i].sum(axis=1)))),
+            tuple(sorted(Counter(map(int, N[i].diagonal())).items())),
+        )
+        for i in range(ring.size)
+    ]
+
+
+def test_profiles_match_counter_oracle():
+    from fusionrings.bicross import split_fusion_ring
+    from fusionrings.catalog import pair_cyclic_alternating, pair_cyclic_symmetric, pair_transposition_alternating
+    from fusionrings.doubles import double_modular_data, verlinde_fusion
+
+    big = np.zeros((2, 2, 2), dtype=np.int64)  # x^2 = 2^40 + (2^40 - 1) x, FP dimension 2^40
+    big[0], big[1, 0, 1], big[1, 1] = np.eye(2, dtype=np.int64), 1, (2**40, 2**40 - 1)
+    for ring in (
+        rep_ring(symmetric_group(5)),
+        split_fusion_ring(pair_cyclic_alternating(5)),
+        split_fusion_ring(pair_cyclic_symmetric(5)),
+        split_fusion_ring(pair_transposition_alternating(5)),
+        rings.group_ring(dihedral_group(6)),
+        verlinde_fusion(double_modular_data(symmetric_group(3))),
+        rings.FusionRing(("1", "x"), big, (0, 1)),
+    ):
+        got, want = _profiles(ring), counter_profiles(ring)
+        assert got == want
+        assert repr(got) == repr(want)  # Python ints, not numpy scalars

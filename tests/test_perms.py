@@ -155,6 +155,20 @@ def test_orbit_stabilizer_identity():
         assert g.order % o.stabilizer.order == 0
 
 
+def test_orbits_share_one_stabilizer_per_fixer_set():
+    g = symmetric_group(3)
+    domain = [(x, copy) for copy in range(2) for x in range(3)] + ["u", "v"]
+    act = GroupAction.from_function(
+        g, domain, lambda p, y: y if isinstance(y, str) else (p.inverse()(y[0]), y[1])
+    )
+    orbs = act.orbits()
+    assert [o.representative for o in orbs] == ["u", "v", (0, 0), (0, 1)]
+    assert orbs[0].stabilizer is orbs[1].stabilizer and orbs[2].stabilizer is orbs[3].stabilizer
+    for o in orbs:
+        at = domain.index(o.representative)
+        assert list(o.stabilizer.elements) == [h for k, h in enumerate(g.elements) if act.table[k, at] == at]
+
+
 def test_structure_invariants_s5():
     inv = structure_invariants(symmetric_group(5))
     assert inv.center.order == 1

@@ -1,5 +1,8 @@
 """Based-ring axioms, dimensions, subrings, gradings, nilpotency."""
 
+import math
+
+import numpy as np
 import pytest
 
 from fusionrings import rings
@@ -494,3 +497,23 @@ def test_universal_grading_inconsistencies_match_union_find_oracle():
         assert _grading_or_message(ring) == want
         kinds.add(want.split(" at ")[0].split(" (")[0] if isinstance(want, str) else "grading")
     assert {"empty product", "product", "grading"} <= kinds
+
+
+def two_element_tensor(p, q):
+    """The unital tensor with x^2 = p + q x (a based ring only when p = 1)."""
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0], N[1, 0, 1], N[1, 1] = np.eye(2, dtype=np.int64), 1, (p, q)
+    return rings.FusionRing(("1", "x"), N, (0, 1))
+
+
+def test_fp_dims_integer_check_beyond_int64_matches_python_ints():
+    # N d reaches about 2^125: an int64 check wraps mod 2^64, where the first
+    # candidate (1, 3 * 2^61) passes although x^2 = p + q x has no integer root
+    for p, q in ((2**62, 3 * 2**61 + 2), (2**40, 2**40 - 1)):
+        ring = two_element_tensor(p, q)
+        got = rings.fp_dims(ring)
+        d = round(got.dims[1])  # the candidate, as a Python int
+        exact = d * d == p + q * d  # Python-int oracle of N d = d d
+        assert got.exact == exact == (math.isqrt(q * q + 4 * p) ** 2 == q * q + 4 * p)
+        if exact:
+            assert got.dims == (1, d) and got.total == 1 + d * d
