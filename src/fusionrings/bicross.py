@@ -209,10 +209,7 @@ def split_irreps(mp, cocycles=None):
 
 def split_type(mp):
     """Type signature of Rep(k^Gamma # kF) from orbit data alone (cheap)."""
-    counts = {}
-    for w in split_irreps(mp):
-        counts[w.dim] = counts.get(w.dim, 0) + 1
-    return tuple(sorted(counts.items()))
+    return tables._tally(w.dim for w in split_irreps(mp))
 
 
 def split_fusion_ring(mp, cocycles=None):
@@ -222,12 +219,7 @@ def split_fusion_ring(mp, cocycles=None):
     dims = tuple(w.dim for w in irreps)
     tensor = rings._decompose(*_split_system(mp, irreps), dims)
     labels = tuple(f"({w.orbit_rep.cycle_string()},{w.stab_row})" for w in irreps)
-    ring = rings.FusionRing(labels, tensor)
-    rings.validate(ring)
-    got = rings.fp_dims(ring)
-    if not (got.exact and got.dims == dims):
-        raise NonIntegralMultiplicity("ring dimensions disagree with induced dimensions")
-    return ring
+    return rings._certified(labels, tensor, dims)
 
 
 def _split_system(mp, irreps):
@@ -334,22 +326,21 @@ def dual_invertibles(mp):
     s_new = fixed_pos[gamma.mul(fixed[:, None], fixed[None, :])]  # [si, sj]
     # element (c, s) sits at c * |fixed| + s
     table = product_char.transpose(0, 2, 1)[:, :, :, None] * len(fixed) + s_new[None, :, None, :]
-    table = table.reshape(len(chars) * len(fixed), -1).tolist()
-    tables.check_table(table)
+    group = tables.CayleyGroup(table.reshape(len(chars) * len(fixed), -1))
     return DualInvertibles(
-        order=len(table),
-        table=tuple(map(tuple, table)),
-        name=tables.iso_name(table),
-        center_order=len(tables.center(table)),
+        group=group, name=tables.iso_name(group), center_order=len(tables.center(group))
     )
 
 
 @dataclass(frozen=True)
 class DualInvertibles:
-    order: int
-    table: tuple
+    group: tables.CayleyGroup  # (c, s) at c * |fixed points| + s
     name: str
     center_order: int
+
+    @property
+    def order(self):
+        return self.group.order
 
 
 def equivariantization_type(ring, action, p):

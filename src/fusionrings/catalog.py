@@ -12,6 +12,7 @@ from .bicross import matched_pair_from_factorization, split_fusion_ring, split_t
 from .chartab import character_table, rep_g_fusion_ring
 from .perms import Permutation, alternating_group, cyclic_group, symmetric_group
 from .solvability import NOT_SOLVABLE
+from .tables import _tally
 
 
 class CatalogEntry:
@@ -78,11 +79,7 @@ def _rep_entry(name, n, reason):
 
 
 def _rep_signature(group):
-    degrees = character_table(group).degrees
-    counts = {}
-    for d in degrees:
-        counts[d] = counts.get(d, 0) + 1
-    return tuple(sorted(counts.items()))
+    return _tally(character_table(group).degrees)
 
 
 def _split_entry(name, pair_fn, reason):

@@ -33,7 +33,7 @@ from .cyclo import (
     _split_primes,
     _top,
 )
-from .errors import LengthMismatch, LiftFailure, NonIntegralMultiplicity, TooManyClasses
+from .errors import LengthMismatch, LiftFailure, TooManyClasses
 
 # ---------------------------------------------------------------------------
 # the table
@@ -366,9 +366,4 @@ def rep_g_fusion_ring(table):
     tensor = rings._decompose(*_rep_system(table), table.degrees)
     labels = tuple(f"chi{i}" for i in range(table.num_classes))
     # the dual of chi_x is the chi_y with N[x][y][0] = 1, its conjugate
-    ring = rings.FusionRing(labels, tensor)
-    rings.validate(ring)
-    dims = rings.fp_dims(ring)
-    if not (dims.exact and dims.dims == table.degrees):
-        raise NonIntegralMultiplicity("ring dimensions disagree with character degrees")
-    return ring
+    return rings._certified(labels, tensor, table.degrees)

@@ -40,6 +40,7 @@ from .perms import (
     symmetric_group,
 )
 from .solvability import solvability_verdict
+from .tables import _tally
 
 _FAMILY = re.compile(r"^([SACD])(\d+)$")
 
@@ -141,14 +142,11 @@ def _cmd_bicross(args, command):
         }
     else:
         ws = split_irreps(mp)
-        counts = {}
-        for w in ws:
-            counts[w.dim] = counts.get(w.dim, 0) + 1
         payload["irreps"] = [
             {"orbit_rep": w.orbit_rep.cycle_string(), "stab_char": w.stab_row, "dim": w.dim}
             for w in ws
         ]
-        payload["type"] = sorted(counts.items())
+        payload["type"] = _tally(w.dim for w in ws)
     _emit(docs.document("matchedpair", payload, command))
     return 0
 

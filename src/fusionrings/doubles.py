@@ -35,7 +35,7 @@ from . import rings
 from .chartab import character_table
 from .cyclo import Cyclotomic, _coordinates, _inner, _lift, _monomial_reduction, _phi, _pointwise, _top
 from .equivalence import _node_budget, _search
-from .errors import InvariantFailure, NonIntegralMultiplicity, SingularS, TooManyLabels
+from .errors import InvariantFailure, SingularS, TooManyLabels
 
 TANNAKIAN = "TANNAKIAN"
 SUPER_TANNAKIAN_ONLY = "SUPER_TANNAKIAN_ONLY"
@@ -221,14 +221,8 @@ def verlinde_fusion(md):
     # non-degeneracy witness: charge conjugation exists (certified at build)
     if not md.charge_conjugation:
         raise SingularS("modular data carries no charge conjugation")
-    ring = rings.FusionRing(
-        tuple(l.name() for l in md.labels), _fusion_tensor(md), md.charge_conjugation
-    )
-    rings.validate(ring)
-    got = rings.fp_dims(ring)
-    if not (got.exact and got.dims == md.dims):
-        raise NonIntegralMultiplicity("recovered dimensions disagree with label dimensions")
-    return ring
+    labels = tuple(l.name() for l in md.labels)
+    return rings._certified(labels, _fusion_tensor(md), md.dims, md.charge_conjugation)
 
 
 def _centralizing(md, targets):

@@ -8,7 +8,6 @@ new assignment completes, gathered by one index array per depth."""
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,19 +64,16 @@ def fingerprint(ring, profiles=None):
     """Relabeling-invariant summary: type, element profiles, invertible-group
     data, adjoint chain sizes, universal grading data.  ``profiles`` are the
     ring's element profiles when the caller has them already."""
-    dims = rings.fp_dims(ring).dims
     inv = rings.invertibles(ring)
-    inv_table = [list(r) for r in inv.table]
     chain, _ = rings.adjoint_series(ring)
     grading = rings.universal_grading(ring)
-    g_table = [list(r) for r in grading.group_table]
     return (
         ring.size,
-        tuple(sorted(Counter(dims).items())),
+        tables._tally(rings.fp_dims(ring).dims),
         tuple(sorted(_profiles(ring) if profiles is None else profiles)),
-        (inv.order, tables.order_multiset(inv_table), tables.iso_name(inv_table)),
+        (inv.order, tables.order_multiset(inv.group), inv.name),
         tuple(len(c) for c in chain),
-        (grading.order, tables.order_multiset(g_table), tuple(sorted(map(len, grading.blocks)))),
+        (grading.order, tables.order_multiset(grading.group), tuple(sorted(map(len, grading.blocks)))),
     )
 
 
@@ -197,11 +193,7 @@ def verify_properties(r1, r2, witness):
                 break
             mapping[idx] = blocks2[img]
         if ok:
-            t1, t2 = g1.group_table, g2.group_table
-            ok = all(
-                mapping[t1[a][b]] == t2[mapping[a]][mapping[b]]
-                for a in range(g1.order)
-                for b in range(g1.order)
-            )
+            m = np.array([mapping[b] for b in range(g1.order)])
+            ok = np.array_equal(m[g1.group.table], g2.group.table[np.ix_(m, m)])
     report["grading_group_isomorphism"] = ok
     return report

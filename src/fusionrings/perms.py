@@ -307,12 +307,14 @@ class PermGroup:
         return tables.is_solvable(self)
 
     def quotient_table(self, normal):
-        """Cayley table of G/N on coset indices, plus the coset index of every element."""
+        """G/N as a ``tables.CayleyGroup`` on coset indices, plus the coset
+        index of every element."""
         return tables.quotient(self, self.index_rows(normal.images))
 
     def cayley_table(self):
+        """The (order x order) index array of the products a*b."""
         everything = np.arange(self.order)
-        return self.mul(everything[:, None], everything[None, :]).tolist()
+        return self.mul(everything[:, None], everything[None, :])
 
 
 @dataclass(frozen=True)
@@ -394,11 +396,11 @@ class StructureInvariants:
 
 def structure_invariants(group):
     derived = group._sub(*tables.derived_subgroup(group))
-    qtable, _ = group.quotient_table(derived)
+    abelianization, _ = group.quotient_table(derived)
     return StructureInvariants(
         center=group._sub(tables.center(group)),
         commutator_subgroup=derived,
-        abelianization_type=tables.abelian_invariants(qtable),
+        abelianization_type=tables.abelian_invariants(abelianization),
         is_solvable=group.is_solvable(),
         is_nilpotent=tables.is_nilpotent(group),
     )

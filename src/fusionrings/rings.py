@@ -105,7 +105,7 @@ class FPDims:
 @dataclass(frozen=True)
 class Invertibles:
     indices: tuple
-    table: tuple
+    group: tables.CayleyGroup  # on positions in ``indices``
     name: str
 
     @property
@@ -116,7 +116,7 @@ class Invertibles:
 @dataclass(frozen=True)
 class GradingDecomposition:
     blocks: tuple  # tuple of sorted index tuples
-    group_table: tuple
+    group: tables.CayleyGroup  # on block positions
     neutral_block: int
 
     @property
@@ -273,15 +273,23 @@ def fp_dims(ring):
     return result
 
 
+def _certified(labels, tensor, dims, dual=None):
+    """The FusionRing on ``tensor``, every axiom checked and its exact
+    dimensions certified equal to the known ``dims``."""
+    ring = FusionRing(labels, tensor, dual)
+    validate(ring)
+    got = fp_dims(ring)
+    if not (got.exact and got.dims == dims):
+        raise NonIntegralMultiplicity("ring dimensions disagree with the known dimensions")
+    return ring
+
+
 def type_signature(ring):
     """Sorted (dimension, count) pairs; requires certified integer dimensions."""
     dims = fp_dims(ring)
     if not dims.exact:
         raise ValueError("type signature needs certified integer dimensions")
-    counts = {}
-    for d in dims.dims:
-        counts[d] = counts.get(d, 0) + 1
-    return tuple(sorted(counts.items()))
+    return tables._tally(dims.dims)
 
 
 def format_type(sig):
@@ -289,7 +297,7 @@ def format_type(sig):
 
 
 def invertibles(ring):
-    """Group table on the dimension-1 basis elements, with a small-order name."""
+    """Group of the dimension-1 basis elements, with a small-order name."""
     dims = fp_dims(ring)
     if dims.exact:
         idx = tuple(i for i, d in enumerate(dims.dims) if d == 1)
@@ -302,9 +310,8 @@ def invertibles(ring):
         raise AxiomViolation("invertible_product", (idx[a], idx[b]))
     pos = np.full(ring.size, -1)
     pos[list(idx)] = np.arange(len(idx))
-    table = pos[block.argmax(axis=2)].tolist()
-    tables.check_table(table)
-    return Invertibles(indices=idx, table=tuple(map(tuple, table)), name=tables.iso_name(table))
+    group = tables.CayleyGroup(pos[block.argmax(axis=2)])
+    return Invertibles(indices=idx, group=group, name=tables.iso_name(group))
 
 
 def invertible_stabilizer(ring, x):
@@ -391,13 +398,11 @@ def universal_grading(ring):
             spread = np.flatnonzero(lands[i, j]).tolist()
             raise GradingInconsistent(f"product ({i},{j}) spreads over blocks {spread}")
         raise GradingInconsistent(f"inconsistent block product at ({block_of[i]},{block_of[j]})")
-    tables.check_table(table.tolist())
+    group = tables.CayleyGroup(table)  # the neutral block is its identity
     k = np.arange(len(blocks))
     if (table[table] != table[k[:, None, None], table[None]]).any():  # (ab)c against a(bc)
         raise GradingInconsistent("block product not associative")
-    return GradingDecomposition(
-        blocks=tuple(blocks), group_table=tuple(map(tuple, table.tolist())), neutral_block=0
-    )
+    return GradingDecomposition(blocks=tuple(blocks), group=group, neutral_block=0)
 
 
 def is_nilpotent(ring):
@@ -422,9 +427,8 @@ def is_cyclically_nilpotent(ring):
         sub = ring.restrict(indices)
         grading = universal_grading(sub)
         result = False
-        u = [list(r) for r in grading.group_table]
-        for q in _prime_divisors(len(u)):
-            for sub_k in tables.prime_index_cyclic_subgroups(u, q):
+        for q in _prime_divisors(grading.order):
+            for sub_k in tables.prime_index_cyclic_subgroups(grading.group, q):
                 keep = []
                 for b in sub_k:
                     keep.extend(grading.blocks[b])

@@ -138,7 +138,7 @@ def solvability_verdict(ring, catalog=None):
 
     # R8: pointed rings mirror their invertible group
     if inv.order == ring.size:
-        solvable = tables.is_solvable([list(r) for r in inv.table])
+        solvable = tables.is_solvable(inv.group)
         return fire(
             "R8",
             f"pointed ring on a group of order {inv.order} "

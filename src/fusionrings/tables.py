@@ -6,8 +6,9 @@ generator indices; ``rmul``, for each generator s the index map x -> x*s;
 and ``mul(a, b)``, the product of index arrays under broadcasting.  Two kinds
 of group carry that data: ``perms.PermGroup``, and ``CayleyGroup`` here,
 which wraps a multiplication table, the form in which grading groups,
-invertible-object groups and quotients surface.  Every public function takes
-either kind, or a bare table (a square list of rows), which it wraps.
+invertible-object groups and quotients surface.  A ``CayleyGroup`` is built
+once, where its table is made, and checked there; every public function
+takes a group of either kind.
 
 Subgroups are sorted index arrays in the numbering of the group they lie
 in; where a later step needs their generators too, they travel as
@@ -22,20 +23,21 @@ from collections import Counter
 import numpy as np
 
 
-def check_table(table):
-    n = len(table)
-    for row in table:
-        if len(row) != n or sorted(row) != list(range(n)):
-            raise ValueError("not a Cayley table")
-
-
 class CayleyGroup:
-    """A group given by its multiplication table: ``table[a][b]`` is a*b."""
+    """A group given by its multiplication table: ``table[a][b]`` is a*b.
+
+    The table is checked once, here: it must be square with every row a
+    permutation of the indices, and it must have a two-sided identity.
+    """
 
     def __init__(self, table):
-        check_table(table)
         n = len(table)
+        if any(len(row) != n for row in table):
+            raise ValueError("not a Cayley table")
         self.table = np.array(table, dtype=np.intp).reshape(n, n)
+        if (np.sort(self.table, axis=1) != np.arange(n)).any():
+            raise ValueError("not a Cayley table")
+        self.table.flags.writeable = False
         self.order = n
         everything = np.arange(n)
         units = np.flatnonzero(
@@ -52,17 +54,12 @@ class CayleyGroup:
         return self.table[a, b]
 
 
-def _group(group):
-    return group if hasattr(group, "mul") else CayleyGroup(group)
-
-
 def _indices(xs):
     return np.asarray(xs, dtype=np.intp).reshape(-1)
 
 
-def closure(group, seed):
+def closure(g, seed):
     """Sorted indices of the subgroup generated by the indices ``seed``."""
-    g = _group(group)
     seed = np.unique(_indices(seed))
     inside = np.zeros(g.order, dtype=bool)
     inside[g.unit] = True
@@ -74,10 +71,9 @@ def closure(group, seed):
     return np.flatnonzero(inside)
 
 
-def generating_set(group, members):
+def generating_set(g, members):
     """Generator indices of the subgroup ``members``: each member, in index
     order, that the members chosen before it do not generate."""
-    g = _group(group)
     gens = []
     inside = np.zeros(g.order, dtype=bool)
     inside[g.unit] = True
@@ -88,9 +84,8 @@ def generating_set(group, members):
     return tuple(gens)
 
 
-def element_orders(group, xs=None):
+def element_orders(g, xs=None):
     """Order of each element of ``xs`` (default: every element)."""
-    g = _group(group)
     xs = np.arange(g.order) if xs is None else _indices(xs)
     orders = np.ones(len(xs), dtype=np.intp)
     power = xs.copy()
@@ -102,20 +97,23 @@ def element_orders(group, xs=None):
     return orders
 
 
-def order_multiset(group):
-    return tuple(sorted(Counter(element_orders(group).tolist()).items()))
+def _tally(values):
+    """Sorted (value, count) pairs of the values."""
+    return tuple(sorted(Counter(values).items()))
 
 
-def is_abelian(group):
-    g = _group(group)
+def order_multiset(g):
+    return _tally(element_orders(g).tolist())
+
+
+def is_abelian(g):
     s = _indices(g.gens)
     return bool((g.mul(s[:, None], s[None, :]) == g.mul(s[None, :], s[:, None])).all())
 
 
-def conjugacy_classes(group):
+def conjugacy_classes(g):
     """Conjugacy classes as sorted index arrays, ordered by (size, least
     member), and the class index of every element."""
-    g = _group(group)
     # s^-1 x s for each generator s, from x -> x*s and inversion alone
     conjugations = [r[g.inv[r[g.inv]]] for r in g.rmul]
     # lower every label to the least index reachable by conjugation
@@ -138,9 +136,8 @@ def conjugacy_classes(group):
     return classes, class_of
 
 
-def center(group):
+def center(g):
     """Sorted indices of the elements commuting with every generator."""
-    g = _group(group)
     everything = np.arange(g.order)
     keep = np.ones(g.order, dtype=bool)
     for s, r in zip(g.gens, g.rmul):
@@ -155,10 +152,9 @@ def _commutators(g, xs, ys):
     return np.unique(c[c != g.unit])
 
 
-def normal_closure(group, seed, over):
+def normal_closure(g, seed, over):
     """(members, gens) of the least subgroup containing the indices ``seed``
     and normalized by the indices ``over``."""
-    g = _group(group)
     gens = np.unique(_indices(seed))
     over = _indices(over)
     while True:
@@ -172,10 +168,9 @@ def normal_closure(group, seed, over):
         gens = np.concatenate([gens, new])
 
 
-def derived_subgroup(group, gens=None):
+def derived_subgroup(g, gens=None):
     """(members, gens) of the commutator subgroup of the subgroup generated
     by ``gens`` (default: the whole group)."""
-    g = _group(group)
     gens = g.gens if gens is None else gens
     return normal_closure(g, _commutators(g, gens, gens), gens)
 
@@ -190,30 +185,27 @@ def _series(g, step):
     return series
 
 
-def derived_series(group):
+def derived_series(g):
     """The derived series as (members, gens) pairs, down to where it stops."""
-    g = _group(group)
     return _series(g, lambda gens: derived_subgroup(g, gens))
 
 
-def lower_central_series(group):
+def lower_central_series(g):
     """The lower central series as (members, gens) pairs, down to where it stops."""
-    g = _group(group)
     return _series(g, lambda gens: normal_closure(g, _commutators(g, g.gens, gens), g.gens))
 
 
-def is_solvable(group):
-    return len(derived_series(group)[-1][0]) == 1
+def is_solvable(g):
+    return len(derived_series(g)[-1][0]) == 1
 
 
-def is_nilpotent(group):
-    return len(lower_central_series(group)[-1][0]) == 1
+def is_nilpotent(g):
+    return len(lower_central_series(g)[-1][0]) == 1
 
 
-def left_cosets(group, sub):
+def left_cosets(g, sub):
     """Left cosets x*sub, numbered in order of their least elements: the
     coset index of every element, and the least element of every coset."""
-    g = _group(group)
     sub = _indices(sub)
     coset_of = np.full(g.order, -1, dtype=np.intp)
     reps = []
@@ -224,19 +216,15 @@ def left_cosets(group, sub):
     return coset_of, np.array(reps, dtype=np.intp)
 
 
-def quotient(group, normal):
-    """Multiplication table of G/N on coset indices, and the coset index of
-    every element."""
-    g = _group(group)
+def quotient(g, normal):
+    """G/N as a CayleyGroup on coset indices, and the coset index of every
+    element."""
     coset_of, reps = left_cosets(g, normal)
-    table = coset_of[g.mul(reps[:, None], reps[None, :])].tolist()
-    check_table(table)
-    return table, coset_of
+    return CayleyGroup(coset_of[g.mul(reps[:, None], reps[None, :])]), coset_of
 
 
-def abelian_invariants(group):
+def abelian_invariants(g):
     """Invariant factors d1 | d2 | ... of an abelian group, ascending."""
-    g = _group(group)
     if not is_abelian(g):
         raise ValueError("group is not abelian")
     factors = []
@@ -244,17 +232,16 @@ def abelian_invariants(group):
         orders = element_orders(g)
         a = int(np.argmax(orders))
         factors.append(int(orders[a]))
-        g = CayleyGroup(quotient(g, closure(g, [a]))[0])
+        g = quotient(g, closure(g, [a]))[0]
     return tuple(sorted(factors))
 
 
-def prime_index_cyclic_subgroups(table, q):
+def prime_index_cyclic_subgroups(g, q):
     """Index-q subgroups K with G/K cyclic of order q (kernels of maps onto Z_q).
 
     Any such K contains the commutator subgroup and all q-th powers, so the
     candidates are preimages of hyperplanes in the elementary abelian quotient.
     """
-    g = _group(table)
     everything = np.arange(g.order)
     powers = everything
     for _ in range(q - 1):
@@ -262,8 +249,7 @@ def prime_index_cyclic_subgroups(table, q):
     b = closure(g, np.union1d(derived_subgroup(g)[0], powers))
     if len(b) == g.order:
         return []
-    qt, coset_of = quotient(g, b)
-    quo = CayleyGroup(qt)
+    quo, coset_of = quotient(g, b)
     if quo.order % q:
         raise ValueError("quotient size not a power of the prime")
     # coordinates of the elementary abelian quotient over F_q
@@ -313,13 +299,12 @@ def _is_dihedral(g):
     return bool(orders[s] == 2 and g.mul(g.mul(g.inv[s], a), s) == g.inv[a])
 
 
-def iso_name(table):
+def iso_name(g):
     """Isomorphism-type label from order, abelian invariants and element orders.
 
     Reliable for the small orders this library meets; falls back to a
     descriptor when the data does not pin a familiar family.
     """
-    g = _group(table)
     n = g.order
     if n == 1:
         return "1"

@@ -44,7 +44,7 @@ def test_quaternion_group_structure():
     from fusionrings import tables
 
     g = quaternion_group()
-    assert tables.iso_name(g.cayley_table()) == "Q8"
+    assert tables.iso_name(tables.CayleyGroup(g.cayley_table())) == "Q8"
 
 
 def test_fingerprint_rep_d4_equals_rep_q8():

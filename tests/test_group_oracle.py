@@ -2,8 +2,8 @@
 
 Small permutation groups (degree <= 7, order <= 720) are drawn at random.
 Each invariant is computed on the permutation group and again on its Cayley
-table, and both answers must equal sympy's.  Sympy is not a dependency of
-the library, so this module is skipped where it is missing.
+table, and both answers must equal sympy's.  Sympy comes with the ``test``
+extra, not with the library, so this module is skipped where it is missing.
 """
 
 import pytest
@@ -74,16 +74,17 @@ def from_permutations(group):
 
 
 def from_table(table):
-    classes, _ = tables.conjugacy_classes(table)
-    derived, _ = tables.derived_subgroup(table)
-    abelianization, _ = tables.quotient(table, derived)
+    group = tables.CayleyGroup(table)
+    classes, _ = tables.conjugacy_classes(group)
+    derived, _ = tables.derived_subgroup(group)
+    abelianization, _ = tables.quotient(group, derived)
     return {
-        "order": len(table),
+        "order": group.order,
         "class_sizes": sorted(len(c) for c in classes),
-        "center": len(tables.center(table)),
-        "derived_series": [len(members) for members, _ in tables.derived_series(table)],
-        "solvable": tables.is_solvable(table),
-        "nilpotent": tables.is_nilpotent(table),
+        "center": len(tables.center(group)),
+        "derived_series": [len(members) for members, _ in tables.derived_series(group)],
+        "solvable": tables.is_solvable(group),
+        "nilpotent": tables.is_nilpotent(group),
         "abelianization": prime_powers(tables.abelian_invariants(abelianization)),
     }
 

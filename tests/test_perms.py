@@ -208,9 +208,9 @@ def test_solvability_matches_derived_series_oracle():
 def test_quotient_and_abelian_invariants():
     g = symmetric_group(4)
     v4 = g.subgroup([Permutation.parse("(1 2)(3 4)", 4), Permutation.parse("(1 3)(2 4)", 4)])
-    qt, _ = g.quotient_table(v4)
-    assert len(qt) == 6
-    assert tables.iso_name(qt) == "D3"
+    quotient, _ = g.quotient_table(v4)
+    assert quotient.order == 6
+    assert tables.iso_name(quotient) == "D3"
 
 
 def test_lagrange_for_stabilizers_and_centralizers():
@@ -223,3 +223,14 @@ def test_degree_zero_group_is_trivial():
     g = PermGroup.from_generators(0, [])
     assert g.order == 1 and g.elements == (Permutation.identity(0),)
     assert [len(m) for _, m in g.conjugacy_classes()] == [1]
+
+
+def test_cayley_group_rejects_tables_that_are_not_groups():
+    with pytest.raises(ValueError, match="not a Cayley table"):
+        tables.CayleyGroup([[0, 1], [1]])  # ragged
+    with pytest.raises(ValueError, match="not a Cayley table"):
+        tables.CayleyGroup([[0, 1], [1, 1]])  # the second row is not a permutation
+    with pytest.raises(ValueError, match="table has no identity"):
+        tables.CayleyGroup([[0, 2, 1], [2, 1, 0], [1, 0, 2]])  # x*y = -x-y mod 3
+    g = tables.CayleyGroup([[0, 1], [1, 0]])
+    assert (g.order, g.unit, g.inv.tolist()) == (2, 0, [0, 1])

@@ -121,3 +121,26 @@ def test_catalog_signatures():
     assert sigs["Rep(k^A6 # kC7)"] == ((1, 21), (7, 51))
     assert sigs["Rep(k^C2 # kA5)"] == ((1, 2), (3, 4), (4, 2), (5, 2))
     assert sigs["Rep(S5)"] == ((1, 2), (4, 2), (5, 2), (6, 1))
+
+
+def test_group_objects_are_built_once_per_group(monkeypatch):
+    # invertible and grading groups are built once, where their tables are
+    # made, and passed on as CayleyGroups: when every table function wrapped
+    # a bare table on each call, this pass built 19 of them
+    from fusionrings import tables
+    from fusionrings.equivalence import find_equivalence
+
+    built = []
+    init = tables.CayleyGroup.__init__
+
+    def counting_init(self, table):
+        built.append(len(table))
+        init(self, table)
+
+    j5 = split_fusion_ring(pair_cyclic_symmetric(5))
+    perm = [0, *(random.Random(5).sample(range(1, j5.size), j5.size - 1))]
+    other = j5.relabel(perm)
+    monkeypatch.setattr(tables.CayleyGroup, "__init__", counting_init)
+    assert find_equivalence(j5, other) is not None
+    assert solvability_verdict(other).fired_rule() == "R7"
+    assert len(built) == 12
