@@ -5,7 +5,8 @@ Irreducibles are indexed by (F-orbit on Gamma, irreducible of the stabilizer);
 orbits with one stabilizer share its subgroup, character table and cosets,
 so each distinct stabilizer gets one table.  Their characters live on the
 basis {e_t # y}, products of characters follow the comultiplication sum over
-factorizations g*h = t in Gamma.  Fusion multiplicities are solved and
+factorizations g*h = t in Gamma, where only the h on the F-orbit of the
+right-hand character contribute.  Fusion multiplicities are solved and
 certified by the decomposition kernel of ``rings`` at n pivot columns (t, y):
 the first at which the echelon form of the characters' integer coordinates
 over F_p, at the kernel's prime, shows them independent, which proves them
@@ -226,26 +227,33 @@ def _split_system(mp, irreps):
     """(X, products, m): the simple characters X[z][k] and their products
     products(x)[y][k] at n pivot columns (t_k, y_k), as Z[zeta_m]
     coordinates, m the lcm of the stabilizer character conductors."""
-    m, chi = _characters(mp, irreps)
-    n, n_gamma, n_f, phi = chi.shape
+    m, chi, orbits = _characters(mp, irreps)
+    n, _, n_f, phi = chi.shape
     t, y = np.divmod(_pivot_cells(chi, m, [w.dim for w in irreps]), n_f)
     # A[k, i, h] = chi_i(e_{t_k h^-1} # (h |> y_k)); B[k, j, h] = chi_j(e_h # y_k)
     g = mp.gamma.mul(t[:, None], mp.gamma.inv[None, :])
     y2 = mp.rtab[:, y].T
-    # products[k, x, y] = sum over h of A[k, x, h] B[k, y, h]
+    # products[k, x, j] = sum over h of A[k, x, h] B[k, j, h]; B[k, j] vanishes
+    # off the orbit of j, so h runs over that orbit, one _inner per orbit length
+    by_cell = np.ascontiguousarray(np.moveaxis(chi, 0, 2))  # [t, y, i]
+    lengths = np.array([len(orbit) for orbit in orbits])
     products = np.empty((n, n, n, phi), dtype=np.int64)
-    step = max(1, 2**20 // (n * n_gamma * phi))  # pivots per gather: at most 2**20 entries
-    for k in range(0, n, step):
-        a = np.moveaxis(chi[:, g[k:k + step], y2[k:k + step]], 0, 1)
-        b = np.moveaxis(chi[:, :, y[k:k + step]], 2, 0)
-        products[k:k + step] = _inner(a, b, m)
+    for length in np.unique(lengths).tolist():
+        js = np.flatnonzero(lengths == length)
+        h = np.stack([orbits[j] for j in js])  # [j, l]: the l-th member of j's orbit
+        b = by_cell[h[:, :, None], y, js[:, None, None]].transpose(2, 0, 1, 3)[:, :, None]  # [k, j, 1, l]
+        step = max(1, 2**20 // (n * h.size * phi))  # pivots per gather: at most 2**20 entries
+        for k in range(0, n, step):
+            a = np.moveaxis(by_cell[g[k:k + step, h], y2[k:k + step, h]], 3, 2)  # [k, j, x, l]
+            products[k:k + step, :, js] = _inner(a, b[k:k + step], m)[:, :, :, 0].swapaxes(1, 2)
     return chi[:, t, y], lambda x: products[:, x].swapaxes(0, 1), m
 
 
 def _characters(mp, irreps):
-    """(m, chi): chi[i, t, y] holds the Z[zeta_m] coordinates of the simple
-    character i at e_t # y (t in Gamma, y in F), m the lcm of the stabilizer
-    character conductors."""
+    """(m, chi, orbits): chi[i, t, y] holds the Z[zeta_m] coordinates of the
+    simple character i at e_t # y (t in Gamma, y in F), m the lcm of the
+    stabilizer character conductors, and orbits[i] the Gamma indices of the
+    F-orbit that chi[i] lives on."""
     f, gamma = mp.f, mp.gamma
     m = math.lcm(*(w.stab_table.m for w in irreps))
     chi = np.zeros((len(irreps), gamma.order, f.order, _phi(m)), dtype=np.int64)
@@ -258,15 +266,15 @@ def _characters(mp, irreps):
             # -1, a dead class, outside the stabilizer
             class_in_f = np.full(f.order, -1, dtype=np.intp)
             class_in_f[f.index_rows(w.stabilizer.images)] = table.class_of
-            x = np.array([f.index_of(xi) for xi in w.coset_reps])
+            x = f.index_rows([xi.images for xi in w.coset_reps])
             # the table's distinct values at m, then 0 for the dead class
             codes = np.concatenate([_lift(table.codes, table.m, m), np.zeros((1, chi.shape[3]), dtype=np.int64)])
             stabilizers[w.stabilizer] = codes, class_in_f[f.mul(f.mul(f.inv[x][:, None], every_y), x[:, None])]
         if w.orbit_rep not in weights:
-            weights[w.orbit_rep] = np.array([gamma.index_of(ti) for ti in w.weights])
+            weights[w.orbit_rep] = gamma.index_rows([ti.images for ti in w.weights])
         codes, classes = stabilizers[w.stabilizer]
         chi[i, weights[w.orbit_rep]] = codes[np.append(table.index[w.stab_row], -1)[classes]]
-    return m, chi
+    return m, chi, [weights[w.orbit_rep] for w in irreps]
 
 
 def _pivot_cells(chi, m, dims):

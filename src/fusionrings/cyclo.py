@@ -259,12 +259,11 @@ def _inner(A, B, m):
     *batch, nx, nt, phi = A.shape
     ny = B.shape[-3]
     dt = _exact_dtype(nt * phi * phi * _top(A) * _top(B) * _top(table))
-    # one matmul over t for all powers zeta^a, zeta^b, then the product table
-    left = np.swapaxes(A.astype(dt), -1, -2).reshape(*batch, nx * phi, nt)
-    right = np.swapaxes(B.astype(dt), -3, -2).reshape(*batch, nt, ny * phi)
-    sums = np.matmul(left, right).reshape(*batch, nx, phi, ny, phi)
-    sums = np.swapaxes(sums, -3, -2).reshape(*batch, nx, ny, phi * phi)
-    out = sums @ table.astype(dt).reshape(phi * phi, phi)
+    # B times every power zeta^a first (the table is symmetric in a and b):
+    # right[..., (t, a), (y, c)] = sum_b B[..., y, t, b] table[a, b, c]
+    right = (B.astype(dt) @ table.astype(dt).reshape(phi, phi * phi)).reshape(*batch, ny, nt * phi, phi)
+    right = np.swapaxes(right, -3, -2).reshape(*batch, nt * phi, ny * phi)
+    out = (A.astype(dt, order="C").reshape(*batch, nx, nt * phi) @ right).reshape(*batch, nx, ny, phi)
     return out if dt is object else out.astype(np.int64)
 
 

@@ -3,7 +3,10 @@ subring lattice, gradings, nilpotency, and the one solver that reads fusion
 rules off a character system.
 
 The structure tensor is held as a write-locked numpy int array; all axiom
-checks are exhaustive.  Large tensor contractions go through BLAS matmuls
+checks are exhaustive.  Associativity is proven by Light's test: elements a
+with (x a) y = x (a y) for all x, y form a subspace closed under products
+and duals, so a closure from the unit leaves few basis elements to test
+directly (``validate``).  Large tensor contractions go through BLAS matmuls
 only while an explicit bound keeps every sum exact there: float32 below
 2**24, float64 below 2**53; past it they run on int64, and past 2**63 on
 Python integers (``cyclo._exact_dtype``).
@@ -33,7 +36,7 @@ from .errors import AxiomViolation, GradingInconsistent, NoPositiveEigenvector, 
 class FusionRing:
     """A unital based ring: basis labels, structure tensor, duality involution."""
 
-    __slots__ = ("labels", "N", "dual", "_dims")
+    __slots__ = ("labels", "N", "dual", "_dims", "_invertibles", "_grading")
 
     def __init__(self, labels, tensor, dual=None):
         labels = tuple(labels)
@@ -45,7 +48,7 @@ class FusionRing:
         if dual is None:
             dual = tuple(int(np.argmax(tensor[i, :, 0])) for i in range(n))
         self.dual = tuple(dual)
-        self._dims = None
+        self._dims = self._invertibles = self._grading = None  # computed once, on first use
 
     @property
     def size(self):
@@ -132,7 +135,21 @@ class GradingDecomposition:
 
 
 def validate(ring):
-    """Check every based-ring axiom exhaustively; raise AxiomViolation on failure."""
+    """Check every based-ring axiom exhaustively; raise AxiomViolation on failure.
+
+    Associativity is Light's middle-element test.  Call a middle when
+    (x a) y = x (a y) for all x and y.  Middle elements form a Q-subspace
+    that is closed under products, as (x (ab)) y = ((xa) b) y = (xa)(by) =
+    x (a (by)) = x ((ab) y), and under duals, as the transpose symmetry
+    checked first makes the dual an anti-automorphism.  So the basis
+    elements known to be middle start at the unit and grow by duals and by
+    the single support element of a product of two known ones that lies
+    outside them (its multiple is the product minus known elements); only
+    the least basis element this closure does not reach is tested directly,
+    by two (n x n) @ (n x n^2) matmuls.  Once every basis element is known,
+    the ring is associative; a failure is reported as (left, middle, right,
+    coefficient).
+    """
     n = ring.size
     N = ring.N
     if np.any(N < 0):
@@ -158,17 +175,29 @@ def validate(ring):
     # transpose symmetry N[i,j,k] == N[dual(j), dual(i), dual(k)]
     if not np.array_equal(N, N[np.ix_(perm, perm, perm)].transpose(1, 0, 2)):
         raise AxiomViolation("transpose_symmetry")
-    # associativity, chunked over the first index; entries of both sides are
-    # sums of n products of two entries of N
+    # associativity by Light's test (see the docstring); both sides are sums
+    # of n products of two entries of N
     exact = N.astype(_exact_dtype(int(N.max()) ** 2 * n))
-    flat_r = exact.reshape(n, n * n)
-    flat_l = exact.reshape(n * n, n)
-    for i in range(n):
-        lhs = (exact[i] @ flat_r).reshape(n, n, n)
-        rhs = (flat_l @ exact[i]).reshape(n, n, n)
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)[0]
-            raise AxiomViolation("associativity", (i, int(bad[0]), int(bad[1]), int(bad[2])))
+    rows = exact.reshape(n, n * n)  # [k, (y, w)] = N[k, y, w]
+    support = (N != 0).reshape(n * n, n).astype(_exact_dtype(n * n))
+    weights = np.ones((n, 2), dtype=support.dtype)  # [k] = (1, k): counts and names support
+    weights[:, 1] = np.arange(n)
+    known = np.arange(n) == 0  # the unit is middle
+    while not known.all():
+        # per basis pair, how many support elements lie outside, and which
+        count, where = (support @ (weights * ~known[:, None])).T
+        forced = (count == 1) & (known[:, None] & known).ravel()
+        grown = known | known[perm]
+        grown[where[forced].astype(np.intp)] = True
+        if (grown == known).all():  # closure is stuck: test the least element left
+            a = int(np.argmin(known))
+            lhs = exact[:, a] @ rows  # [x, (y, w)]: ((x a) y)_w
+            rhs = np.matmul(exact[a], exact).reshape(n, n * n)  # (x (a y))_w
+            if not np.array_equal(lhs, rhs):
+                x, yw = np.argwhere(lhs != rhs)[0].tolist()
+                raise AxiomViolation("associativity", (x, a, *divmod(yw, n)))
+            grown[a] = True
+        known = grown
 
 
 def _decompose(X, products, m, dims):
@@ -298,6 +327,12 @@ def format_type(sig):
 
 def invertibles(ring):
     """Group of the dimension-1 basis elements, with a small-order name."""
+    if ring._invertibles is None:
+        ring._invertibles = _invertibles(ring)
+    return ring._invertibles
+
+
+def _invertibles(ring):
     dims = fp_dims(ring)
     if dims.exact:
         idx = tuple(i for i, d in enumerate(dims.dims) if d == 1)
@@ -364,6 +399,12 @@ def universal_grading(ring):
     one block, and the block products must form a group.  Inconsistencies
     are reported at the first basis pair (i, j) in row-major order.
     """
+    if ring._grading is None:
+        ring._grading = _universal_grading(ring)
+    return ring._grading
+
+
+def _universal_grading(ring):
     n = ring.size
     ad = list(adjoint_indices(ring))
     nonzero = ring.N != 0
@@ -424,7 +465,7 @@ def is_cyclically_nilpotent(ring):
         if len(indices) == 1:
             memo[indices] = True
             return True
-        sub = ring.restrict(indices)
+        sub = ring if len(indices) == ring.size else ring.restrict(indices)
         grading = universal_grading(sub)
         result = False
         for q in _prime_divisors(grading.order):

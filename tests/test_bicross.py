@@ -1,6 +1,8 @@
 """Matched pairs and split bicrossed products: K5-style fusion rules, types,
 dual invertibles, equivariantization types."""
 
+import hashlib
+
 import pytest
 
 from fusionrings import rings
@@ -295,6 +297,7 @@ def test_k7_ring_builds_exactly():
     from fusionrings.catalog import pair_cyclic_alternating
 
     ring = split_fusion_ring(pair_cyclic_alternating(7))
+    assert tensor_sha(ring) == "315cb35a330c45d4"
     assert rings.type_signature(ring) == ((1, 21), (7, 51))
     inv = rings.invertibles(ring)
     assert inv.order == 21
@@ -308,6 +311,7 @@ def test_j7_ring_builds_exactly():
     from fusionrings.catalog import pair_cyclic_symmetric
 
     ring = split_fusion_ring(pair_cyclic_symmetric(7))
+    assert tensor_sha(ring) == "05c6b2899eac74ef"
     assert rings.type_signature(ring) == ((1, 42), (7, 102))
     assert rings.invertibles(ring).order == 42
 
@@ -367,19 +371,28 @@ def test_dual_invertibles_match_cyclotomic_oracle():
         assert got == dual_invertibles_oracle(mp), name
 
 
-# sha256 of the tensors, recorded while the pivots came from an exact
-# Cyclotomic column echelon
+# sha256 of the tensors: the first four recorded while the pivots came from
+# an exact Cyclotomic column echelon, the other six while every pivot product
+# was summed over all of Gamma
 SPLIT_RING_SHA = {
     "K5": "f1bdba71968294e6",
     "J5": "b2849c56ce231f44",
     "B5": "5b4e2601362c20f2",
     "S4=C4.S3": "05b4087d78cb068c",
+    "K5-dual": "4c89a31ad94a5e63",
+    "J5-dual": "7c56e1e0942ac0fd",
+    "B5-dual": "a0715fc5abd48bef",
+    "S4=C4.S3-dual": "22892fceaf3140cd",
+    "S6=C6.S5": "0d13695a257e1b6b",
+    "S6=C6.S5-dual": "3b449a87d8dec215",
 }
 
 
-def test_split_fusion_ring_does_no_cyclotomic_arithmetic(monkeypatch):
-    import hashlib
+def tensor_sha(ring):
+    return hashlib.sha256(ring.N.tobytes()).hexdigest()[:16]
 
+
+def test_split_fusion_ring_does_no_cyclotomic_arithmetic(monkeypatch):
     pairs = benchmark_pairs()
 
     def forbidden(*args):
@@ -388,9 +401,9 @@ def test_split_fusion_ring_does_no_cyclotomic_arithmetic(monkeypatch):
     for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__",
                "inverse", "conjugate", "galois"):
         monkeypatch.setattr(Cyclotomic, op, forbidden)
+    assert set(SPLIT_RING_SHA) == set(pairs)
     for name, sha in SPLIT_RING_SHA.items():
-        ring = split_fusion_ring(pairs[name])
-        assert hashlib.sha256(ring.N.tobytes()).hexdigest()[:16] == sha, name
+        assert tensor_sha(split_fusion_ring(pairs[name])) == sha, name
 
 
 def test_pivot_cells_move_past_a_rank_deficient_prime():

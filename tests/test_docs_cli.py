@@ -683,3 +683,31 @@ def test_cli_modular_twists_may_be_any_root_of_unity(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(docs.dumps(doc))
     assert run_cli(["verlinde", str(good)])[0] == 0
+
+
+def test_analyze_computes_invertibles_and_grading_once_per_ring(tmp_path, monkeypatch):
+    """analyze on a relabelled J5 document: the verdict's rules, the
+    fingerprint of R7's catalog match and the analysis read each ring's
+    invertibles and universal grading from the ring, computed once."""
+    import random
+
+    from fusionrings.bicross import split_fusion_ring
+    from fusionrings.catalog import pair_cyclic_symmetric
+
+    ring = split_fusion_ring(pair_cyclic_symmetric(5))
+    relabelled = ring.relabel([0] + random.Random(5).sample(range(1, ring.size), ring.size - 1))
+    path = tmp_path / "j5.json"
+    path.write_text(docs.dumps(docs.document("fusionring", docs.ring_payload(relabelled))))
+    seen = {"_invertibles": [], "_universal_grading": []}
+    for name, calls in seen.items():
+        def counted(r, compute=getattr(rings, name), calls=calls):
+            calls.append(r)  # holding the ring keeps its id from being reused
+            return compute(r)
+
+        monkeypatch.setattr(rings, name, counted)
+    code, out = run_cli(["analyze", str(path)])
+    assert code == 0 and docs.loads(out)["payload"]["verdict"] == "NOT_SOLVABLE"
+    for name, calls in seen.items():
+        ids = [id(r) for r in calls]
+        assert len(ids) == len(set(ids)), name
+        assert [r.labels for r in calls].count(relabelled.labels) == 1, name

@@ -517,3 +517,72 @@ def test_fp_dims_integer_check_beyond_int64_matches_python_ints():
         assert got.exact == exact == (math.isqrt(q * q + 4 * p) ** 2 == q * q + 4 * p)
         if exact:
             assert got.dims == (1, d) and got.total == 1 + d * d
+
+
+def dense_associativity_oracle(ring):
+    """Every (x, a, y, w) with ((x a) y)_w != (x (a y))_w, from the two dense
+    n^4 contractions."""
+    N = ring.N
+    left = np.tensordot(N, N, axes=([2], [0]))  # [x, a, y, w]
+    right = np.tensordot(N, N, axes=([2], [1])).transpose(2, 0, 1, 3)  # [a, y, x, w] -> [x, a, y, w]
+    return {tuple(q) for q in np.argwhere(left != right).tolist()}
+
+
+def associativity_corpus():
+    from fusionrings.bicross import split_fusion_ring
+    from fusionrings.catalog import pair_cyclic_symmetric
+    from fusionrings.doubles import double_modular_data, verlinde_fusion
+
+    return [
+        *(rep_ring(g) for g in (symmetric_group(3), symmetric_group(4), dihedral_group(4),
+                                alternating_group(5), dihedral_group(6))),
+        *(verlinde_fusion(double_modular_data(g)) for g in (symmetric_group(3), cyclic_group(3),
+                                                            alternating_group(4))),
+        rings.group_ring(dihedral_group(6)),
+        rings.group_ring(cyclic_group(8)),
+        split_fusion_ring(pair_cyclic_symmetric(5)),
+    ]
+
+
+def test_light_associativity_agrees_with_the_dense_oracle():
+    """Perturb entries of the corpus rings in orbits of the transpose symmetry
+    N[i, j, k] = N[j*, i*, k*], off the unit and the duality column, so that
+    only associativity can fail: validate raises exactly when the dense
+    oracle finds a failing quadruple, at one that fails by direct summation.
+    Rep D4 is in the corpus because V.V = 1 + a + b + c: closure from the
+    unit stalls there and more than one element is tested directly."""
+    import random
+
+    rng = random.Random(15)
+    outcomes = {"passed": 0, "failed": 0}
+    for ring in associativity_corpus():
+        rings.validate(ring)
+        assert not dense_associativity_oracle(ring)
+        n, dual = ring.size, ring.dual
+        for _ in range(40):
+            tensor = ring.N.copy()
+            for _ in range(rng.choice((1, 1, 2))):
+                i, j, k = (rng.randrange(1, n) for _ in range(3))
+                orbit = {(i, j, k), (dual[j], dual[i], dual[k])}
+                delta = rng.choice((-1, 1, 2))
+                if any(tensor[e] + delta < 0 for e in orbit):
+                    delta = 1
+                for e in orbit:
+                    tensor[e] += delta
+            bumped = rings.FusionRing(ring.labels, tensor, dual)
+            failures = dense_associativity_oracle(bumped)
+            if not failures:
+                rings.validate(bumped)
+                outcomes["passed"] += 1
+                continue
+            with pytest.raises(AxiomViolation) as err:
+                rings.validate(bumped)
+            assert err.value.axiom == "associativity"
+            x, a, y, w = err.value.witness
+            assert (x, a, y, w) in failures
+            N = bumped.N.tolist()
+            assert sum(N[x][a][k] * N[k][y][w] for k in range(n)) != sum(
+                N[a][y][k] * N[x][k][w] for k in range(n)
+            )
+            outcomes["failed"] += 1
+    assert min(outcomes.values()) > 0, outcomes
