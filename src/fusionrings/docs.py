@@ -261,12 +261,19 @@ def modular_from_payload(payload):
         )
         for (rep, row), d in zip(payload["labels"], payload["dims"])
     )
-    parse = cache(lambda text: cyclo.from_document(json.loads(text)))  # each distinct form once
+    parsed = {}  # each distinct form once, keyed by its repr, which tells JSON values apart
+
+    def parse(v):
+        key = repr(v)
+        if key not in parsed:
+            parsed[key] = cyclo.from_document(v)
+        return parsed[key]
+
     md = ModularData(
         group=group,
         labels=labels,
-        S=tuple(tuple(parse(json.dumps(v)) for v in row) for row in payload["s"]),
-        T=tuple(parse(json.dumps(v)) for v in payload["t"]),
+        S=tuple(tuple(map(parse, row)) for row in payload["s"]),
+        T=tuple(map(parse, payload["t"])),
         dims=tuple(int(d) for d in payload["dims"]),
         global_dim=int(payload["global_dim"]),
         charge_conjugation=(),

@@ -87,7 +87,11 @@ def double_modular_data(group, twist=None):
     n = sum(int(c.class_index_map().max()) + 1 for c in cents)  # one label per centralizer class
     if n > MAX_LABELS:
         raise TooManyLabels(f"{n} labels exceed the double's label bound of {MAX_LABELS}")
-    tabs = [character_table(c) for c in cents]
+    by_centralizer = {}  # one table per distinct centralizer subgroup
+    for c in cents:
+        if c not in by_centralizer:
+            by_centralizer[c] = character_table(c)
+    tabs = [by_centralizer[c] for c in cents]
     labels = [
         DoubleLabel(class_index=ci, class_rep=rep, char_row=row, dim=len(members) * tabs[ci].degrees[row])
         for ci, (rep, members) in enumerate(classes)

@@ -153,25 +153,43 @@ def _keys(rows):
     return rows.reshape(count, width).view(as_bytes).ravel().tolist()
 
 
+def _lex_order(rows):
+    """The permutation that sorts distinct image rows lexicographically."""
+    return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+
+
 def _close(gen_rows, cap):
-    """Sorted image rows of the group generated by ``gen_rows``, found
-    breadth-first by right multiplication (x*g has images g[x])."""
-    degree = gen_rows.shape[1]
+    """The group generated by ``gen_rows``: its image rows in lexicographic
+    order, and for each generator s the index map x -> x*s as one row.
+
+    The elements are found breadth-first by right multiplication (x*s has
+    images s[x]).  Each product row's provisional id is its position in the
+    stream of all products made, and a row met again keeps the id it got
+    first, so the products of each layer are the maps x -> x*s on it."""
+    count, degree = gen_rows.shape
     frontier = np.arange(degree, dtype=np.intp)[None]
-    seen = set(_keys(frontier))
-    found = [frontier]
+    seen = dict.fromkeys(_keys(frontier), 0)
+    found, ids, made = [frontier], [np.zeros(1, dtype=np.intp)], []
+    made_count = 1
     while len(frontier):
-        products = gen_rows[:, frontier].reshape(len(gen_rows) * len(frontier), degree)
-        fresh = []
-        for i, key in enumerate(_keys(products)):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
+        products = gen_rows[:, frontier].reshape(count * len(frontier), degree)
+        span = range(made_count, made_count + len(products))
+        got = np.fromiter(map(seen.setdefault, _keys(products), span), np.intp, len(products))
         if len(seen) > cap:
-            raise ClosureTooLarge(f"closure exceeds cap {cap}")
+            raise ClosureTooLarge(
+                f"closure exceeds cap {cap}: reached {len(seen)} elements from {count} generators"
+            )
+        fresh = np.flatnonzero(got == np.arange(span.start, span.stop))
+        made.append(got.reshape(count, len(frontier)))
+        ids.append(got[fresh])
+        made_count = span.stop
         frontier = products[fresh]
         found.append(frontier)
-    return np.unique(np.concatenate(found), axis=0)
+    rows = np.concatenate(found)
+    order = _lex_order(rows)
+    rank = np.empty(made_count, dtype=np.intp)  # provisional id -> sorted index
+    rank[np.concatenate(ids)[order]] = np.arange(len(rows))
+    return rows[order], rank[np.concatenate(made, axis=1)[:, order]]
 
 
 class PermGroup:
@@ -188,36 +206,45 @@ class PermGroup:
 
     unit = 0
 
-    def __init__(self, degree, images, gen_rows=None):
-        """Index data of the group on the sorted image rows ``images``,
-        generated by the rows ``gen_rows`` (default: a small generating set)."""
+    def __init__(self, degree, images, gens=None, inv=None, rmul=None):
+        """Index data of the group on the sorted, distinct image rows
+        ``images``, generated by the indices ``gens`` (default: a small
+        generating set).  ``inv`` and ``rmul``, where the caller has them
+        already, are taken as given."""
         self.degree = degree
         self.images = images
         self._lookup = dict(zip(_keys(images), range(len(images))))
         self._elements = self._classes = None
-        self.inv = self.index_rows(np.argsort(images, axis=1))
-        if gen_rows is None:
-            self.gens = tables.generating_set(self, range(self.order))
-        else:
-            self.gens = tuple(self.index_rows(gen_rows).tolist())
-        everything = np.arange(self.order)
-        self.rmul = tuple(self.mul(everything, s) for s in self.gens)
+        self.inv = self.index_rows(np.argsort(images, axis=1)) if inv is None else inv
+        if gens is None:
+            gens = tables.generating_set(self, range(self.order))
+        self.gens = tuple(gens)
+        if rmul is None:
+            everything = np.arange(self.order)
+            rmul = [self.mul(everything, s) for s in self.gens]
+        self.rmul = tuple(rmul)
 
     @classmethod
     def from_generators(cls, degree, gens, cap=DEFAULT_CLOSURE_CAP):
-        rows = _rows(degree, gens)
-        return cls(degree, _close(rows, cap), rows)
+        images, rmul = _close(_rows(degree, gens), cap)
+        # each generator s is the image of the identity under x -> x*s
+        return cls(degree, images, rmul[:, cls.unit].tolist(), rmul=rmul)
 
     @classmethod
     def from_elements(cls, degree, elements):
-        """Wrap an already-closed element set (trusted)."""
-        return cls(degree, np.unique(_rows(degree, elements), axis=0))
+        """Wrap an already-closed set of distinct elements (trusted)."""
+        rows = _rows(degree, elements)
+        return cls(degree, rows[_lex_order(rows)])
 
     def _sub(self, members, gens=None):
         """The subgroup on the sorted indices ``members``, generated by the
         indices ``gens`` (default: a small generating set)."""
+        members = np.asarray(members)
         return PermGroup(
-            self.degree, self.images[members], None if gens is None else self.images[list(gens)]
+            self.degree,
+            self.images[members],
+            None if gens is None else np.searchsorted(members, gens).tolist(),
+            inv=np.searchsorted(members, self.inv[members]),
         )
 
     def mul(self, a, b):
@@ -280,7 +307,7 @@ class PermGroup:
             seed = self.index_rows(rows)
         except KeyError:
             raise ValueError("subgroup generators must lie in the group") from None
-        return PermGroup(self.degree, self.images[tables.closure(self, seed)], rows)
+        return self._sub(tables.closure(self, seed), seed)
 
     def _class_data(self):
         if self._classes is None:

@@ -36,7 +36,7 @@ from .errors import AxiomViolation, GradingInconsistent, NoPositiveEigenvector, 
 class FusionRing:
     """A unital based ring: basis labels, structure tensor, duality involution."""
 
-    __slots__ = ("labels", "N", "dual", "_dims", "_invertibles", "_grading")
+    __slots__ = ("labels", "N", "dual", "_dims", "_invertibles", "_grading", "_cyclic")
 
     def __init__(self, labels, tensor, dual=None):
         labels = tuple(labels)
@@ -48,7 +48,7 @@ class FusionRing:
         if dual is None:
             dual = tuple(int(np.argmax(tensor[i, :, 0])) for i in range(n))
         self.dual = tuple(dual)
-        self._dims = self._invertibles = self._grading = None  # computed once, on first use
+        self._dims = self._invertibles = self._grading = self._cyclic = None  # computed once, on first use
 
     @property
     def size(self):
@@ -326,18 +326,17 @@ def format_type(sig):
 
 
 def invertibles(ring):
-    """Group of the dimension-1 basis elements, with a small-order name."""
+    """Group of the invertible basis elements x, those with x*x^* = 1,
+    with a small-order name."""
     if ring._invertibles is None:
         ring._invertibles = _invertibles(ring)
     return ring._invertibles
 
 
 def _invertibles(ring):
-    dims = fp_dims(ring)
-    if dims.exact:
-        idx = tuple(i for i, d in enumerate(dims.dims) if d == 1)
-    else:
-        idx = tuple(i for i, d in enumerate(dims.dims) if abs(d - 1.0) < 1e-9)
+    unit = np.eye(1, ring.size, dtype=ring.N.dtype)
+    inverted = (ring.N[np.arange(ring.size), list(ring.dual)] == unit).all(axis=1)
+    idx = tuple(np.flatnonzero(inverted).tolist())
     block = ring.N[np.ix_(idx, idx)]  # [a, b, k]: the products of invertibles
     single = ((block != 0).sum(axis=2) == 1) & (block.max(axis=2, initial=0) == 1)
     if not single.all():
@@ -457,6 +456,12 @@ def is_cyclically_nilpotent(ring):
     Recurses through index-q subgroups of the universal grading group with
     cyclic quotient; memoized on basis index subsets of the root ring.
     """
+    if ring._cyclic is None:
+        ring._cyclic = _is_cyclically_nilpotent(ring)
+    return ring._cyclic
+
+
+def _is_cyclically_nilpotent(ring):
     memo = {}
 
     def rec(indices):

@@ -1,10 +1,13 @@
 """Document round-trips and the command-line surface."""
 
 import hashlib
+import re
 import subprocess
 import sys
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from fusionrings import docs, rings
@@ -685,10 +688,9 @@ def test_cli_modular_twists_may_be_any_root_of_unity(tmp_path):
     assert run_cli(["verlinde", str(good)])[0] == 0
 
 
-def test_analyze_computes_invertibles_and_grading_once_per_ring(tmp_path, monkeypatch):
-    """analyze on a relabelled J5 document: the verdict's rules, the
-    fingerprint of R7's catalog match and the analysis read each ring's
-    invertibles and universal grading from the ring, computed once."""
+def _relabelled_j5_document(tmp_path):
+    """The J5 ring with its non-unit simples shuffled, so that it differs from
+    the catalog's J5, written as a fusionring document; returns (ring, path)."""
     import random
 
     from fusionrings.bicross import split_fusion_ring
@@ -698,6 +700,14 @@ def test_analyze_computes_invertibles_and_grading_once_per_ring(tmp_path, monkey
     relabelled = ring.relabel([0] + random.Random(5).sample(range(1, ring.size), ring.size - 1))
     path = tmp_path / "j5.json"
     path.write_text(docs.dumps(docs.document("fusionring", docs.ring_payload(relabelled))))
+    return relabelled, path
+
+
+def test_analyze_computes_invertibles_and_grading_once_per_ring(tmp_path, monkeypatch):
+    """analyze on a relabelled J5 document: the verdict's rules, the
+    fingerprint of R7's catalog match and the analysis read each ring's
+    invertibles and universal grading from the ring, computed once."""
+    relabelled, path = _relabelled_j5_document(tmp_path)
     seen = {"_invertibles": [], "_universal_grading": []}
     for name, calls in seen.items():
         def counted(r, compute=getattr(rings, name), calls=calls):
@@ -711,3 +721,80 @@ def test_analyze_computes_invertibles_and_grading_once_per_ring(tmp_path, monkey
         ids = [id(r) for r in calls]
         assert len(ids) == len(set(ids)), name
         assert [r.labels for r in calls].count(relabelled.labels) == 1, name
+
+
+def test_analyze_grades_each_distinct_ring_once(tmp_path, monkeypatch):
+    """R3 and the analysis share one cyclic-nilpotency answer: analyze on a
+    relabelled J5 document grades every ring it meets once, the document's
+    ring and its 12-simple neutral subring among them, and its payload is
+    the recorded one."""
+    relabelled, path = _relabelled_j5_document(tmp_path)
+    graded = Counter()
+    compute = rings._universal_grading
+
+    def counted(r):
+        graded[r.labels, r.N.tobytes()] += 1
+        return compute(r)
+
+    monkeypatch.setattr(rings, "_universal_grading", counted)
+    code, out = run_cli(["analyze", str(path)])
+    assert code == 0
+    assert set(graded.values()) == {1}
+    assert (relabelled.labels, relabelled.N.tobytes()) in graded
+    assert 12 in {len(labels) for labels, _ in graded}  # the neutral subring
+    payload = docs.dumps(docs.loads(out)["payload"]).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "f99ee14792031f2eabdb226c953fc35a6a76ce6ee5e350f11570b4e4e9e635ad"
+    )
+
+
+def test_cli_double_builds_one_table_per_distinct_centralizer(monkeypatch):
+    """Every centralizer in C3 is C3 itself: one character table, and the
+    recorded payload."""
+    from fusionrings import doubles
+
+    built = []
+    compute = doubles.character_table
+    monkeypatch.setattr(doubles, "character_table", lambda g: built.append(g) or compute(g))
+    code, out = run_cli(["double", "C3"])
+    assert code == 0 and len(built) == 1
+    payload = docs.dumps(docs.loads(out)["payload"]).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "eb323d4269349f725329f8268c33e896eea3415a3fcf44c550723f3d5f020e88"
+    )
+
+
+def test_cli_closure_cap_reports_how_far_the_closure_got(capsys):
+    code, out = run_cli(["group", "custom:8:(1 2)|(1 2 3 4 5 6 7 8)"])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    reached = re.fullmatch(
+        r"error: budget: closure exceeds cap 10000: reached (\d+) elements from 2 generators\n", err
+    )
+    assert reached and 10_000 < int(reached[1]) < 40_320
+
+
+def _analyze_ring(tmp_path, labels, products):
+    """analyze on the fusionring document of the ring whose non-unit
+    products are ``products``: {(i, j): support of i*j}, multiplicity 1."""
+    n = len(labels)
+    tensor = np.zeros((n, n, n), dtype=np.int64)
+    tensor[0, range(n), range(n)] = tensor[range(n), 0, range(n)] = 1
+    for (i, j), support in products.items():
+        tensor[i, j, support] = 1
+    path = tmp_path / "ring.json"
+    ring = rings.FusionRing(labels, tensor)
+    path.write_text(docs.dumps(docs.document("fusionring", docs.ring_payload(ring))))
+    code, out = run_cli(["analyze", str(path)])
+    assert code == 0
+    return docs.loads(out)["payload"]["analysis"]
+
+
+def test_analyze_invertibles_of_non_integral_rings(tmp_path):
+    """x is invertible exactly when x*x^* = 1, whatever the dimensions."""
+    ising = _analyze_ring(
+        tmp_path, ("1", "psi", "sigma"), {(1, 1): [0], (1, 2): [2], (2, 1): [2], (2, 2): [0, 1]}
+    )
+    assert ising["invertibles"] == {"order": 2, "name": "C2"} and "type" not in ising
+    fibonacci = _analyze_ring(tmp_path, ("1", "tau"), {(1, 1): [0, 1]})
+    assert fibonacci["invertibles"] == {"order": 1, "name": "1"} and "type" not in fibonacci

@@ -6,6 +6,7 @@ table, and both answers must equal sympy's.  Sympy comes with the ``test``
 extra, not with the library, so this module is skipped where it is missing.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -98,3 +99,29 @@ def test_invariants_match_sympy(case):
     group = PermGroup.from_generators(degree, [Permutation(g) for g in gens])
     assert from_permutations(group) == want
     assert from_table(group.cayley_table()) == want
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generated_groups())
+def test_generator_maps_and_inverses_match_products(case):
+    """``rmul`` and ``inv`` of a closure and of subgroups taken from it,
+    against products recomputed by ``mul``; an identity generator and a
+    repeated generator ride along."""
+    degree, gens = case
+    gens = [*gens, list(range(degree)), gens[0]]
+    group = PermGroup.from_generators(degree, [Permutation(g) for g in gens])
+    assert [group.images[s].tolist() for s in group.gens] == gens
+    derived, derived_gens = tables.derived_subgroup(group)
+    subgroups = [
+        group,
+        group.subgroup([Permutation(gens[0])]),
+        group._sub(derived, derived_gens),
+        group.centralizer_of(Permutation(gens[0])),
+    ]
+    for g in subgroups:
+        everything = np.arange(g.order)
+        assert len(g.rmul) == len(g.gens)
+        for s, r in zip(g.gens, g.rmul):
+            assert np.array_equal(r, g.mul(everything, s))
+        assert (g.mul(everything, g.inv) == g.unit).all()
+        assert (g.mul(g.inv, everything) == g.unit).all()

@@ -65,9 +65,35 @@ def test_group_from_generators_a5_matches_brute_force():
     assert {p.images for p in g.elements} == oracle
 
 
+@pytest.mark.parametrize(
+    "degree, gens",
+    [
+        (0, []),
+        (0, [Permutation.identity(0)]),
+        (1, []),
+        (1, [Permutation.identity(1)]),
+        (20, [Permutation.from_cycles(20, [tuple(range(20))])]),  # C20
+        (20, [Permutation.from_cycles(20, [(2 * i, 2 * i + 1)]) for i in range(5)]),  # C2^5
+        (120, [Permutation.from_cycles(120, [tuple(range(120))])]),  # C120
+    ],
+)
+def test_closure_matches_brute_force_at_every_degree(degree, gens):
+    g = PermGroup.from_generators(degree, gens)
+    oracle = brute_closure(degree, [p.images for p in gens])
+    assert [tuple(row) for row in g.images.tolist()] == sorted(oracle)
+    assert g.gens == tuple(sorted(oracle).index(p.images) for p in gens)
+
+
 def test_closure_cap():
     with pytest.raises(ClosureTooLarge):
         PermGroup.from_generators(6, symmetric_group(6).generators, cap=100)
+
+
+def test_closure_cap_boundary():
+    gens = symmetric_group(4).generators
+    assert PermGroup.from_generators(4, gens, cap=24).order == 24
+    with pytest.raises(ClosureTooLarge, match=r"^closure exceeds cap 23: reached 24 elements from 2 generators$"):
+        PermGroup.from_generators(4, gens, cap=23)
 
 
 def test_elements_are_sorted_lexicographically():
