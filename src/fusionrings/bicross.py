@@ -6,11 +6,11 @@ orbits with one stabilizer share its subgroup, character table and cosets,
 so each distinct stabilizer gets one table.  Their characters live on the
 basis {e_t # y}, products of characters follow the comultiplication sum over
 factorizations g*h = t in Gamma, where only the h on the F-orbit of the
-right-hand character contribute.  Fusion multiplicities are solved and
-certified by the decomposition kernel of ``rings`` at n pivot columns (t, y):
-the first at which the echelon form of the characters' integer coordinates
-over F_p, at the kernel's prime, shows them independent, which proves them
-independent over Q(zeta_m).
+right-hand character contribute, against the simples on the orbit of g.
+Fusion multiplicities are solved and certified by the decomposition kernel
+of ``rings`` at n pivot columns (t, y), from the characters' images at each
+prime: the first columns at which their echelon form over F_p shows them
+independent, which proves them independent over Q(zeta_m).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rings, tables
-from .chartab import _mulmod, character_table
-from .cyclo import _inner, _lift, _phi, _split_primes
+from .chartab import character_table
+from .cyclo import _echelon, _embeddings, _evaluate, _lift, _phi, _product_bound, _top
 from .errors import (
     GroupLawFailure,
     NonIntegralMultiplicity,
@@ -224,36 +224,46 @@ def split_fusion_ring(mp, cocycles=None):
 
 
 def _split_system(mp, irreps):
-    """(X, products, m): the simple characters X[z][k] and their products
-    products(x)[y][k] at n pivot columns (t_k, y_k), as Z[zeta_m]
-    coordinates, m the lcm of the stabilizer character conductors."""
-    m, chi, orbits = _characters(mp, irreps)
-    n, _, n_f, phi = chi.shape
+    """(system, m, bound) for ``rings._decompose``: the simple characters
+    X[z][k] and their products P[x][y][k] at n pivot columns (t_k, y_k), m
+    the lcm of the stabilizer character conductors.  P is made from the
+    characters' images at each embedding, never in coordinates."""
+    m, chi = _characters(mp, irreps)
+    n, n_gamma, n_f, phi = chi.shape
     t, y = np.divmod(_pivot_cells(chi, m, [w.dim for w in irreps]), n_f)
     # A[k, i, h] = chi_i(e_{t_k h^-1} # (h |> y_k)); B[k, j, h] = chi_j(e_h # y_k)
     g = mp.gamma.mul(t[:, None], mp.gamma.inv[None, :])
     y2 = mp.rtab[:, y].T
-    # products[k, x, j] = sum over h of A[k, x, h] B[k, j, h]; B[k, j] vanishes
-    # off the orbit of j, so h runs over that orbit, one _inner per orbit length
-    by_cell = np.ascontiguousarray(np.moveaxis(chi, 0, 2))  # [t, y, i]
-    lengths = np.array([len(orbit) for orbit in orbits])
-    products = np.empty((n, n, n, phi), dtype=np.int64)
-    for length in np.unique(lengths).tolist():
-        js = np.flatnonzero(lengths == length)
-        h = np.stack([orbits[j] for j in js])  # [j, l]: the l-th member of j's orbit
-        b = by_cell[h[:, :, None], y, js[:, None, None]].transpose(2, 0, 1, 3)[:, :, None]  # [k, j, 1, l]
-        step = max(1, 2**20 // (n * h.size * phi))  # pivots per gather: at most 2**20 entries
-        for k in range(0, n, step):
-            a = np.moveaxis(by_cell[g[k:k + step, h], y2[k:k + step, h]], 3, 2)  # [k, j, x, l]
-            products[k:k + step, :, js] = _inner(a, b[k:k + step], m)[:, :, :, 0].swapaxes(1, 2)
-    return chi[:, t, y], lambda x: products[:, x].swapaxes(0, 1), m
+    # P[k, x, j] = sum over h of A[k, x, h] B[k, j, h]: B[k, j] vanishes off the
+    # orbit of j, and A[k, :, h] off the simples on the orbit of s = t_k h^-1,
+    # which are consecutive: first[s] + c for c < count[s]
+    on = chi[:, :, mp.f.unit, 0] != 0  # [i, s]: s is on the orbit of i, where chi_i(e_s # 1) is a degree
+    first, count, lengths = on.argmax(axis=0), on.sum(axis=0), on.sum(axis=1)
+    c = np.arange(count.max())
+    top = _top(chi)
+    bound = top, int(lengths.max()) * top * top * _product_bound(m)
+    by_cell = np.concatenate([np.moveaxis(chi, 0, 2), np.zeros((n_gamma, n_f, 1, phi), dtype=chi.dtype)], axis=2)
+
+    def system(q, E):
+        images = _evaluate(by_cell, q, E)  # [t, y, i, e], with a zero simple i = n
+        products = np.zeros((n, n + 1, n, phi), dtype=images.dtype)  # [k, x, j, e]
+        for length in np.unique(lengths).tolist():  # the j with orbits of one length at once
+            js = np.flatnonzero(lengths == length)
+            h = np.nonzero(on[js])[1].reshape(len(js), length)  # [j, l]
+            s = g[:, h]  # [k, j, l]
+            xs = np.where(c < count[s][..., None], first[s][..., None] + c, n)  # [k, j, l, c], n: no simple
+            b = images[h[:, :, None], y, js[:, None, None]].transpose(2, 0, 1, 3)  # [k, j, l, e]
+            terms = images[s[..., None], y2[:, h][..., None], xs] * b[:, :, :, None] % q  # [k, j, l, c, e]
+            np.add.at(products, (np.arange(n)[:, None, None, None], xs, js[:, None, None]), terms)
+        return images[t, y, :n].swapaxes(0, 1), lambda x: products[:, x].swapaxes(0, 1) % q
+
+    return system, m, bound
 
 
 def _characters(mp, irreps):
-    """(m, chi, orbits): chi[i, t, y] holds the Z[zeta_m] coordinates of the
-    simple character i at e_t # y (t in Gamma, y in F), m the lcm of the
-    stabilizer character conductors, and orbits[i] the Gamma indices of the
-    F-orbit that chi[i] lives on."""
+    """(m, chi): chi[i, t, y] holds the Z[zeta_m] coordinates of the simple
+    character i at e_t # y (t in Gamma, y in F), m the lcm of the stabilizer
+    character conductors."""
     f, gamma = mp.f, mp.gamma
     m = math.lcm(*(w.stab_table.m for w in irreps))
     chi = np.zeros((len(irreps), gamma.order, f.order, _phi(m)), dtype=np.int64)
@@ -274,14 +284,14 @@ def _characters(mp, irreps):
             weights[w.orbit_rep] = gamma.index_rows([ti.images for ti in w.weights])
         codes, classes = stabilizers[w.stabilizer]
         chi[i, weights[w.orbit_rep]] = codes[np.append(table.index[w.stab_row], -1)[classes]]
-    return m, chi, [weights[w.orbit_rep] for w in irreps]
+    return m, chi
 
 
 def _pivot_cells(chi, m, dims):
     """The n cells t * |F| + y, first in row-major order, at which the n
     simple characters chi (n, Gamma, F, phi(m)) are independent over
     Q(zeta_m): the pivot columns of their echelon form over F_p, under
-    zeta_m -> w, at the decomposition kernel's primes p = 1 (mod m).
+    zeta_m -> w, at the primes p = 1 (mod m) above 2 max(d)^2.
 
     Rank n mod p proves the pivot columns independent, since a minor that is
     nonzero mod p is nonzero.  Characters independent over Q(zeta_m) have a
@@ -296,9 +306,8 @@ def _pivot_cells(chi, m, dims):
     flat = flat[:, cells]
     bound_sq = (n**n * math.prod(d * d for d in dims)) ** phi
     failed, rank = 1, 0
-    for p, w in _split_primes(m, 2 * max(d * d for d in dims)):
-        powers = np.array([pow(w, k, p) for k in range(phi)], dtype=np.int64)
-        pivots = rings._echelon(_mulmod(flat % p, powers, p), p)[1]
+    for p, E, _ in _embeddings(m, 2 * max(d * d for d in dims)):
+        pivots = _echelon(_evaluate(flat, p, E[:, 0]), p)[1]
         if len(pivots) == n:
             return cells[pivots]
         failed, rank = failed * p, max(rank, len(pivots))
@@ -317,9 +326,8 @@ def dual_invertibles(mp):
     table_f = character_table(f)
     linear = [r for r in range(table_f.num_classes) if table_f.degrees[r] == 1]
     m, codes = table_f.m, table_f.codes
-    p, w = next(_split_primes(m, 2))
-    powers = np.array([pow(w, k, p) for k in range(codes.shape[1])], dtype=np.int64)
-    chars = _mulmod(codes % p, powers, p)[table_f.index[linear][:, table_f.class_of]]  # [c, x]
+    p, E, _ = next(_embeddings(m, 2))
+    chars = _evaluate(codes, p, E[:, 0])[table_f.index[linear][:, table_f.class_of]]  # [c, x]
     fixed = np.flatnonzero((mp.ltab == np.arange(gamma.order)[:, None]).all(axis=1))
     fixed_pos = np.full(gamma.order, -1)
     fixed_pos[fixed] = np.arange(len(fixed))

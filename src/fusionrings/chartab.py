@@ -9,10 +9,11 @@ of each eigenvalue zeta_m^k of a class representative off its power map,
 and each distinct value becomes a Cyclotomic once.  Tables
 with more than MAX_CLASSES classes are refused.  The table encodes its
 distinct values once, as integer Z[zeta_m] coordinates with an index per
-entry; orthogonality and degrees are certified exactly on them, and the
-ring of Rep G (chi_x chi_y = sum_z N[x][y][z] chi_z, by the decomposition
-kernel of ``rings``), the split bicrossed products and the doubles read
-them without touching a Cyclotomic.
+entry; orthogonality (at the embeddings of ``cyclo._moduli``) and degrees
+are certified exactly on them, and the ring of Rep G (chi_x chi_y =
+sum_z N[x][y][z] chi_z, by the decomposition kernel of ``rings``), the
+split bicrossed products and the doubles read them without touching a
+Cyclotomic.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from . import rings
 from .cyclo import (
     Cyclotomic,
     _distinct_coordinates,
-    _exact_dtype,
+    _echelon,
+    _evaluate,
+    _moduli,
     _monomial_reduction,
-    _pointwise,
-    _product_table,
-    _split_primes,
+    _mulmod,
+    _product_bound,
+    _split_prime,
     _top,
 )
 from .errors import LengthMismatch, LiftFailure, TooManyClasses
@@ -89,7 +92,7 @@ def character_table(group):
     order = group.order
     # the Dixon prime: the least p = 1 (mod exponent) above the lift safeguard
     bound = 2 * math.isqrt(order) * int(sizes.max()) + 1
-    p, z_e = next(_split_primes(exponent, (bound // exponent + 1) * exponent))
+    p, z_e = _split_prime(exponent, (bound // exponent + 1) * exponent, 0)
 
     power_map = class_of[powers]  # power_map[l, j]: class of z_j^l
     lines = _common_eigenlines(group, class_of, members, starts, sizes, rep_orders, power_map, p)
@@ -173,14 +176,6 @@ def _value_slot(m, mult, values, slots):
     return slots[key]
 
 
-def _mulmod(a, b, p):
-    """a @ b mod p for int64 arrays of residues mod p, exact: the matmul runs
-    in the dtype that ``_exact_dtype`` allows for its sums."""
-    dt = _exact_dtype(a.shape[-1] * p * p)
-    out = np.matmul(a, b, dtype=dt)
-    return (out if dt is object else out.astype(np.int64)) % p
-
-
 def _powers(group, reps):
     """powers[l, j] = reps[j]^l for l = 0 .. the largest order among reps."""
     powers = [np.full(len(reps), group.unit), reps]
@@ -261,12 +256,12 @@ def _eigenspaces(op, p, candidates):
     s = len(lams)
     # lagrange[i, k]: coefficient of x^k in l_i, the inverse of vander[k, i] = lams[i]^k
     vander = np.array([[pow(lam, k, p) for lam in lams.tolist()] for k in range(s)])
-    lagrange = rings._echelon(np.concatenate([vander, np.eye(s, dtype=np.int64)], axis=1), p)[0][:, s:]
+    lagrange = _echelon(np.concatenate([vander, np.eye(s, dtype=np.int64)], axis=1), p)[0][:, s:]
     powers = [np.eye(d, dtype=np.int64), op]  # op is no scalar, so s >= 2
     for _ in range(s - 2):
         powers.append(_mulmod(powers[-1], op, p))
     projectors = _mulmod(lagrange, np.stack(powers).reshape(s, d * d), p).reshape(s, d, d)
-    return [rings._echelon(proj, p) for proj in projectors]
+    return [_echelon(proj, p) for proj in projectors]
 
 
 def _characteristic_polynomial(a, p):
@@ -300,15 +295,9 @@ def _characteristic_polynomial(a, p):
 
 def _certify(table):
     """Exact row orthogonality, sum_j |C_j| chi_i(j) conj(chi_k(j)) = |G| delta_ik,
-    and degree checks; LiftFailure on any miss.
-
-    Both sides are compared at every embedding zeta_m -> w^k, gcd(k, m) = 1,
-    of Z[zeta_m] into F_q, for primes q = 1 (mod m) whose product exceeds
-    twice the bound on the coordinates of their difference.  A coordinate
-    vector that small whose images all vanish is zero, so the comparison is
-    exact; it costs phi(m) r^3 per prime, not the phi(m)^2 r^3 of products
-    taken in coordinates.
-    """
+    and degree checks; LiftFailure on any miss.  Both sides are compared at
+    every embedding of the primes of ``cyclo._moduli`` for a bound on the
+    coordinates of their difference, which decides the comparison exactly."""
     r = table.num_classes
     m, codes, index = table.m, table.codes, table.index
     phi = codes.shape[1]
@@ -316,20 +305,14 @@ def _certify(table):
     sizes = np.array([s for _, s in table.classes])
     # a conjugate's coordinates are sums of phi coordinates times entries of red
     red = np.array(_monomial_reduction(m)[:m], dtype=np.int64)
-    bound = 2 * (order * phi**3 * _top(codes) ** 2 * _top(red) * _top(_product_table(m)) + order)
-    units = [k for k in range(m) if math.gcd(k, m) == 1]  # ascending: -k is the mirror image of k
-    primes = _split_primes(m, min(bound, 1 << 16))  # r q^2 < 2**53: BLAS matmuls
+    bound = order * phi * _top(codes) ** 2 * _top(red) * _product_bound(m) + order
     wrong = np.zeros((r, r), dtype=bool)
-    modulus = 1
-    while modulus <= bound:
-        q, w = next(primes)
-        at = np.array([[pow(w, a * k, q) for k in units] for a in range(phi)])  # zeta_m^a at zeta_m -> w^k
-        images = _mulmod(codes % q, at, q)[index]  # [i, j, e]; a conjugate's image at e is at phi - 1 - e
+    for q, E, _ in _moduli(m, bound):
+        images = _evaluate(codes, q, E)[index]  # [i, j, e]; a conjugate's image at e is at phi - 1 - e
         left = images * sizes[:, None] % q
         gram = _mulmod(left.transpose(2, 0, 1), images[:, :, ::-1].transpose(2, 1, 0), q)  # [e, i, k]
         gram[:, range(r), range(r)] -= order % q
         wrong |= (gram % q != 0).any(axis=0)
-        modulus *= q
     if wrong.any():
         i, k = np.argwhere(wrong)[0].tolist()
         raise LiftFailure(f"row orthogonality failed at ({i},{k})")
@@ -353,17 +336,10 @@ def inner_product(table, a, b):
     return acc / table.group.order
 
 
-def _rep_system(table):
-    """(X, products, m) with sum_z N[x][y][z] X[z] = products(x)[y] the
-    decomposition chi_x chi_y = sum_z N[x][y][z] chi_z, on Z[zeta_m]
-    coordinates."""
-    m, X = table.m, table.codes[table.index]
-    return X, lambda x: _pointwise(X[x], X, m), m
-
-
 def rep_g_fusion_ring(table):
     """The based ring of Rep G, decomposed and certified by ``rings``' kernel."""
-    tensor = rings._decompose(*_rep_system(table), table.degrees)
+    ones = [1] * table.num_classes
+    tensor = rings._decompose(*rings._pointwise_system(table.codes[table.index], table.m, ones), table.degrees)
     labels = tuple(f"chi{i}" for i in range(table.num_classes))
     # the dual of chi_x is the chi_y with N[x][y][0] = 1, its conjugate
     return rings._certified(labels, tensor, table.degrees)

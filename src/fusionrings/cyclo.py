@@ -4,13 +4,16 @@ Representation: a conductor N and a sparse map exponent -> Fraction over the
 power basis zeta_N^0 .. zeta_N^(phi(N)-1).  Canonicalization reduces the raw
 exponent vector against the fixed echelonized relation set of conductor N
 (equivalently, takes the remainder modulo the N-th cyclotomic polynomial) and
-then minimizes the conductor by Galois-invariance descent over prime divisors.
+then minimizes the conductor by normalized-trace descent over prime divisors.
 Two equal field elements therefore always carry identical representations.
 
-The integer-array half holds values as canonical Z[zeta_m] coordinates
-scaled by one common denominator; its sums run in the dtype an explicit
-bound allows (:func:`_exact_dtype`), float64 only where they are exact.
-No other floating point enters anywhere except :meth:`Cyclotomic.numeric`.
+The integer-array half, canonical Z[zeta_m] coordinates scaled by one common
+denominator, is the one exact kernel of every hot loop: arrays are evaluated
+at the embeddings zeta_m -> w^k into F_q, q = 1 (mod m), where products are
+products of images, and enough primes for a coordinate bound determine the
+coordinates (:func:`_moduli`).  Sums run in the dtype an explicit bound
+allows (:func:`_exact_dtype`), float64 only where they are exact.  No other
+floating point enters anywhere except :meth:`Cyclotomic.numeric`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -60,14 +63,15 @@ def _primitive_root(p):
         g += 1
 
 
-def _split_primes(m, above):
-    """(p, w) for each prime p = 1 (mod m) above ``above``, in increasing
-    order, with w = g^((p-1)/m) of order m for the least primitive root g."""
-    p = above // m * m + 1
-    while True:
-        if p > above and _is_prime(p):
-            yield p, pow(_primitive_root(p), (p - 1) // m, p)
-        p += m
+@lru_cache(maxsize=None)
+def _split_prime(m, above, k):
+    """(q, w): the k-th (from 0) prime q = 1 (mod m) above ``above``, and
+    w = g^((q-1)/m) of order m for the least primitive root g mod q.  Each
+    call finds the one before it cached when k counts up."""
+    q = _split_prime(m, above, k - 1)[0] + m if k else above // m * m + 1
+    while q <= above or not _is_prime(q):
+        q += m
+    return q, pow(_primitive_root(q), (q - 1) // m, q)
 
 
 @lru_cache(maxsize=None)
@@ -124,56 +128,6 @@ def _monomial_reduction(n):
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _galois_orbit_checks(n):
-    """For each prime p | n: (m, ks) with m = n//p and ks the Galois classes
-    fixing Q(zeta_m) pointwise (k = 1 omitted)."""
-    out = []
-    for p in _prime_divisors(n):
-        m = n // p
-        ks = tuple(
-            k for k in range(1, n) if k != 1 and k % m == 1 % m and gcd(k, n) == 1
-        )
-        out.append((p, m, ks))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _subfield_solver(n, m):
-    """Row-reduced data rewriting a conductor-n vector as a conductor-m vector.
-
-    Returns (pivots, transform) where transform is a list over basis exponents
-    of Q(zeta_m): row j gives the coordinates of zeta_m^j as a conductor-n
-    canonical vector; pivots/elimination data let us back-solve T y = v.
-    """
-    phin, phim = _phi(n), _phi(m)
-    red = _monomial_reduction(n)
-    d = n // m
-    # columns: canonical conductor-n coords of zeta_m^j = zeta_n^(d*j)
-    cols = [red[(d * j) % n] for j in range(phim)]
-    # Gaussian elimination on the (phin x phim) system with full row pivoting
-    mat = [[Fraction(cols[j][i]) for j in range(phim)] for i in range(phin)]
-    aug = [[Fraction(1) if i == j else _ZERO for j in range(phin)] for i in range(phin)]
-    pivots = []
-    row = 0
-    for col in range(phim):
-        piv = next((r for r in range(row, phin) if mat[r][col]), None)
-        assert piv is not None, "subfield basis must have full column rank"
-        mat[row], mat[piv] = mat[piv], mat[row]
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(phin):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    return row, aug
-
-
 def _exact_dtype(bound):
     """The cheapest dtype whose matmuls stay exact while every partial sum is
     at most bound in absolute value: float32 or float64 (BLAS), int64, or
@@ -228,43 +182,108 @@ def _lift(codes, m, M):
     return codes.astype(dt) @ red.astype(dt)
 
 
+def _mulmod(a, b, p):
+    """a @ b mod p for arrays of residues mod p, exact: the matmul runs in
+    the dtype that ``_exact_dtype`` allows for its sums."""
+    dt = _exact_dtype(a.shape[-1] * p * p)
+    out = np.matmul(a, b, dtype=dt)
+    return (out if dt is object else out.astype(np.int64)) % p
+
+
+def _echelon(a, p):
+    """(rows, pivots): the nonzero rows of the reduced row echelon form of a
+    (entries in [0, p)) over F_p, by Gauss-Jordan, and their pivot columns;
+    int64 while products of two entries fit it."""
+    a = a.astype(np.int64) if p * p < 2**63 else a.astype(object)
+    pivots, col = [], 0
+    for top in range(len(a)):
+        live = a[top:, col:].any(axis=0).nonzero()[0]
+        if not live.size:
+            break
+        col += int(live[0])
+        pivot = top + int(a[top:, col].nonzero()[0][0])
+        a[[top, pivot]] = a[[pivot, top]]
+        row = a[top] * pow(int(a[top, col]), -1, p) % p
+        a -= np.multiply.outer(a[:, col], row)  # clears the pivot row too
+        a %= p
+        a[top] = row
+        pivots.append(col)
+        col += 1
+    return a[:len(pivots)], pivots
+
+
+_ABOVE = 2**20  # the primes of _moduli: residue products summed 2**12 times stay float64-exact
+
+
 @lru_cache(maxsize=None)
-def _product_table(m):
-    """table[a, b] = canonical Z[zeta_m] coordinates of zeta_m^(a + b), a, b < phi(m)."""
-    red = np.array(_monomial_reduction(m), dtype=np.int64)
-    phi = red.shape[1]
-    table = red[np.add.outer(np.arange(phi), np.arange(phi))]
-    table.setflags(write=False)
-    return table
+def _embedding(m, q, w):
+    """(E, E^-1 mod q), read-only: E[a, e] = w^(a k_e) is zeta_m^a at the
+    embedding zeta_m -> w^(k_e) into F_q, for w of order m and the units
+    k_e < m ascending, so that embedding phi(m) - 1 - e is the conjugate of
+    e.  Coordinates times E are images; E is a Vandermonde matrix on
+    distinct roots, so the images determine the coordinates mod q."""
+    units = [k for k in range(m) if gcd(k, m) == 1]
+    dt = np.int64 if q * q < 2**63 else object
+    E = np.array([[pow(w, a * k, q) for k in units] for a in range(len(units))], dtype=dt)
+    inverse = _echelon(np.concatenate([E, np.eye(len(units), dtype=dt)], axis=1), q)[0][:, len(units):]
+    for a in (E, inverse):
+        a.setflags(write=False)
+    return E, inverse
 
 
-def _pointwise(a, B, m):
-    """Coordinates of a[t] * B[y, t] as a (y, t, phi(m)) array, for a row
-    a (t, phi(m)) and an array B (y, t, phi(m)) of coordinates; int64 unless
-    an entry needs Python ints."""
-    table = _product_table(m)
-    phi = table.shape[0]
-    dt = _exact_dtype(phi * phi * _top(a) * _top(B) * _top(table))
-    left = (a.astype(dt) @ table.astype(dt).reshape(phi, -1)).reshape(-1, phi, phi)  # [t, b, c]
-    out = np.matmul(B.astype(dt).transpose(1, 0, 2), left).transpose(1, 0, 2)
-    return out if dt is object else out.astype(np.int64)
+def _embeddings(m, above):
+    """(q, E, E^-1) at each prime q = 1 (mod m) above ``above``, ascending."""
+    for k in count():
+        q, w = _split_prime(m, above, k)
+        yield (q, *_embedding(m, q, w))
+
+
+def _moduli(m, bound):
+    """(q, E, E^-1) at the fewest primes q = 1 (mod m) above 2**20 whose
+    product exceeds 2 bound: a coordinate vector at most bound in absolute
+    value is its symmetric residue modulo that product, so its images at
+    these embeddings determine it."""
+    out, modulus = [], 1
+    for embedding in _embeddings(m, _ABOVE):
+        out.append(embedding)
+        modulus *= embedding[0]
+        if modulus > 2 * bound:
+            return out
+
+
+def _evaluate(codes, q, E):
+    """The images mod q of coordinate arrays codes (..., phi(m)) at the
+    embeddings that the columns of E stand for."""
+    return _mulmod((codes % q).astype(E.dtype, copy=False), E, q)
+
+
+@lru_cache(maxsize=None)
+def _product_bound(m):
+    """The largest coordinate of a product of two values with coordinates at
+    most 1: phi(m)^2 times the largest coordinate of a zeta_m^e, e < 2 phi(m) - 1."""
+    phi = _phi(m)
+    return phi * phi * max(max(map(abs, row)) for row in _monomial_reduction(m)[:2 * phi - 1])
 
 
 def _inner(A, B, m):
     """Coordinates of sum_t A[..., x, t] * B[..., y, t] as an (..., x, y,
     phi(m)) array, for coordinate arrays A (..., x, t, phi(m)) and
     B (..., y, t, phi(m)) with the same leading batch shape; int64 unless an
-    entry needs Python ints."""
-    table = _product_table(m)
-    *batch, nx, nt, phi = A.shape
-    ny = B.shape[-3]
-    dt = _exact_dtype(nt * phi * phi * _top(A) * _top(B) * _top(table))
-    # B times every power zeta^a first (the table is symmetric in a and b):
-    # right[..., (t, a), (y, c)] = sum_b B[..., y, t, b] table[a, b, c]
-    right = (B.astype(dt) @ table.astype(dt).reshape(phi, phi * phi)).reshape(*batch, ny, nt * phi, phi)
-    right = np.swapaxes(right, -3, -2).reshape(*batch, nt * phi, ny * phi)
-    out = (A.astype(dt, order="C").reshape(*batch, nx, nt * phi) @ right).reshape(*batch, nx, ny, phi)
-    return out if dt is object else out.astype(np.int64)
+    entry needs Python ints.  One batched matmul per embedding at each prime
+    of _moduli, mapped back through E^-1; the primes recombine by Garner's
+    CRT, in int64 until the modulus passes 2**62, in Python ints after."""
+    bound = A.shape[-2] * _top(A) * _top(B) * _product_bound(m)
+    out, modulus = 0, 1
+    for q, E, inverse in _moduli(m, bound):
+        a = np.moveaxis(_evaluate(A, q, E), -1, -3)  # [..., e, x, t]
+        b = np.moveaxis(_evaluate(B, q, E), -1, -3).swapaxes(-1, -2)  # [..., e, t, y]
+        coords = _mulmod(np.moveaxis(_mulmod(a, b, q), -3, -1), inverse, q)  # [..., x, y, phi]
+        if modulus * q >= 2**62:
+            out, coords = np.asarray(out, dtype=object), coords.astype(object)
+        out = out + modulus * ((coords - out % q) * pow(modulus, -1, q) % q)
+        modulus *= q
+    out = np.where(out > modulus // 2, out - modulus, out)
+    return out.astype(object if bound >= 2**63 else np.int64)
 
 
 def _reduce_raw(n, raw):
@@ -288,31 +307,30 @@ def _galois_image(n, coeffs, k):
     return _reduce_raw(n, raw)
 
 
-def _rewrite_at_subfield(n, m, coeffs):
-    phin = _phi(n)
-    rank, aug = _subfield_solver(n, m)
-    vec = [_ZERO] * phin
-    for e, c in coeffs.items():
-        vec[e] = c
-    ys = []
-    for r in range(rank):
-        ys.append(sum((aug[r][i] * vec[i] for i in range(phin) if vec[i]), _ZERO))
-    return {j: y for j, y in enumerate(ys) if y}
-
-
 def _minimize(n, coeffs):
-    if not coeffs:
-        return 1, {}
-    changed = True
-    while changed and n > 1:
-        changed = False
-        for _, m, ks in _galois_orbit_checks(n):
-            if all(_galois_image(n, coeffs, k) == coeffs for k in ks):
-                coeffs = _rewrite_at_subfield(n, m, coeffs)
-                n = m
-                changed = True
+    """(least conductor, canonical coefficients) of the value with canonical
+    coefficients coeffs at conductor n.  It lies in Q(zeta_m), m = n/p for a
+    prime p, exactly when its normalized trace Tr/[n:m] lifts back to it by
+    zeta_m = zeta_n^p.  If p divides m, the trace keeps zeta_n^e as
+    zeta_m^(e/p) when p divides e and drops it otherwise; if not,
+    zeta_n^e = zeta_m^(e/p mod m) times a p-th root of unity, which traces
+    to 1 when p divides e and to -1/(p-1) otherwise."""
+    descended = bool(coeffs)
+    while descended and n > 1:
+        descended = False
+        for p in _prime_divisors(n):
+            m, raw = n // p, {}
+            for e, c in coeffs.items():
+                if m % p:
+                    k = e * pow(p, -1, m) % m
+                    raw[k] = raw.get(k, _ZERO) + (c if e % p == 0 else c * Fraction(-1, p - 1))
+                elif e % p == 0:
+                    raw[e // p] = c
+            traced = _reduce_raw(m, raw)
+            if _reduce_raw(n, {e * p: c for e, c in traced.items()}) == coeffs:
+                n, coeffs, descended = m, traced, True
                 break
-    return n, coeffs
+    return (n, coeffs) if coeffs else (1, {})
 
 
 class Cyclotomic:
@@ -428,35 +446,20 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self):
+        """The product of the other Galois conjugates over the norm, the
+        product of them all, which is rational."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
-        if self.conductor == 1:
-            return Cyclotomic.rational(1 / self.coeffs[0])
-        n = self.conductor
-        phi = _phi(n)
-        red = _monomial_reduction(n)
-        # columns: coordinates of self * zeta^j
-        mat = []
-        for i in range(phi):
-            mat.append([_ZERO] * phi)
-        for j in range(phi):
-            for e, c in self.coeffs.items():
-                for i, r in enumerate(red[e + j]):
-                    if r:
-                        mat[i][j] += c * r
-        rhs = [Fraction(1)] + [_ZERO] * (phi - 1)
-        sol = _solve_exact(mat, rhs)
-        n2, coeffs = _minimize(n, {j: v for j, v in enumerate(sol) if v})
-        return Cyclotomic(n2, coeffs, _canonical=True)
+        others = Cyclotomic.one()
+        for k in range(2, self.conductor):
+            if gcd(k, self.conductor) == 1:
+                others = others * self.galois(k)
+        return others * Cyclotomic.rational(1 / (self * others).rational_part())
 
     def __truediv__(self, other):
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.conductor == 1:
-            if other.is_zero():
-                raise ZeroDivisionError("division by zero in Q(zeta)")
-            return self * Cyclotomic.rational(1 / other.coeffs[0])
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -464,10 +467,7 @@ class Cyclotomic:
 
     def conjugate(self):
         """Complex conjugation, zeta_N -> zeta_N^(-1)."""
-        if self.conductor == 1:
-            return self
-        coeffs = _galois_image(self.conductor, self.coeffs, self.conductor - 1)
-        return Cyclotomic(self.conductor, coeffs, _canonical=True)
+        return self.galois(-1)
 
     def galois(self, k):
         """The automorphism zeta_N -> zeta_N^k (k coprime to the conductor)."""
@@ -512,24 +512,6 @@ class Cyclotomic:
             z = f"z{self.conductor}^{e}" if e > 1 else ("1" if e == 0 else f"z{self.conductor}")
             parts.append(f"{c}*{z}" if z != "1" else f"{c}")
         return " + ".join(parts)
-
-
-def _solve_exact(mat, rhs):
-    """Solve a square Fraction system by Gaussian elimination."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def root_of_unity(n, k=1):

@@ -12,7 +12,8 @@ Everything after reads one encoding of S and T per instance (``_encoded``):
 A = L*S of shape (n, n, phi(m)), the coordinates of each entry in the power
 basis of Z[zeta_m], m the lcm of the entry conductors and L one common
 denominator (1 for genuine doubles).  The certificate checks the twists,
-the dimension row and symmetry on it, and S^2 = D*C as one contraction.
+the dimension row and symmetry on it, and S^2 = D*C as one contraction;
+both contractions, S and S^2, run at the embeddings of ``cyclo._inner``.
 
 The fusion tensor is the Verlinde decomposition
 sum_z N[x][y][z] S[z][t] = S[x][t] S[y][t] / d_t, solved and certified by
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import rings
 from .chartab import character_table
-from .cyclo import Cyclotomic, _coordinates, _inner, _lift, _monomial_reduction, _phi, _pointwise, _top
+from .cyclo import Cyclotomic, _coordinates, _exact_dtype, _inner, _lift, _monomial_reduction, _phi, _top
 from .equivalence import _node_budget, _search
 from .errors import InvariantFailure, SingularS, TooManyLabels
 
@@ -41,8 +42,10 @@ TANNAKIAN = "TANNAKIAN"
 SUPER_TANNAKIAN_ONLY = "SUPER_TANNAKIAN_ONLY"
 NOT_SYMMETRIC = "NOT_SYMMETRIC"
 
-# S and its S^2 certificate hold (labels x phi(M))^2 intermediate sums;
-# doubles with more labels are refused before any table is built.
+# The S block and its S^2 certificate hold a few labels^2 phi(M) arrays of
+# coordinates or images and cost labels^3 phi(M) multiply-adds per prime;
+# doubles with more labels are refused before any table is built.  At the
+# bound, double C32 (1,024 labels, phi = 16) takes 5 s and 1.5 GB on one core.
 MAX_LABELS = 1024
 
 
@@ -123,7 +126,9 @@ def double_modular_data(group, twist=None):
         j, g = np.nonzero(group.mul(a, inner) == group.mul(inner, a))
         outer = group.mul(group.mul(group.inv[g], a), g)  # g^-1 a_i g
         np.add.at(counts, (where[i, group.inv[inner[j, g]]], where[j, group.inv[outer]]), 1)
-    block = _inner(X, np.einsum("kl,ylp->ykp", counts, X), M)
+    dt = _exact_dtype(offsets[-1] * _top(counts) * _top(X))
+    weighted = np.matmul(counts, X, dtype=dt).astype(object if dt is object else np.int64)  # [y, k]: counts X[y]
+    block = _inner(X, weighted, M)
     if _top(block) * order >= 2**63:
         block = block.astype(object)
     centralizers = np.repeat([cent.order for cent in cents], sizes)
@@ -202,19 +207,13 @@ def _certify_modular(md):
     return tuple(conj.tolist())
 
 
-def _verlinde_system(md):
-    """(X, products, m) with sum_z N[x][y][z] X[z] = products(x)[y] the
-    Verlinde decomposition: X[z][t] = L d_t A[z][t] and
-    products(x)[y][t] = A[x][t] A[y][t]."""
-    m, scale, A = _encoded(md)[0]
-    weights = np.array([scale * d for d in md.dims], dtype=object)  # L d_t, as Python ints
-    return A * weights[:, None], lambda x: _pointwise(A[x], A, m), m
-
-
 def _fusion_tensor(md):
-    """The Verlinde tensor N[x, y, z] of md, solved in F_p and certified exactly."""
+    """The Verlinde tensor N[x, y, z] of md: sum_z N[x][y][z] X[z] = P[x][y]
+    with X[z][t] = L d_t A[z][t] and P[x][y][t] = A[x][t] A[y][t], solved and
+    certified by the decomposition kernel."""
     if md._fusion is None:
-        N = rings._decompose(*_verlinde_system(md), md.dims)
+        m, scale, A = _encoded(md)[0]
+        N = rings._decompose(*rings._pointwise_system(A, m, [scale * d for d in md.dims]), md.dims)
         N.setflags(write=False)
         md._fusion = N
     return md._fusion
@@ -265,9 +264,18 @@ def projective_centralizer(md, subset):
 
 
 def central_charge(md):
-    """Numeric tau+ / sqrt(global dim); equals 1 for doubles."""
+    """Numeric tau+ / sqrt(global dim), for display; equals 1 for doubles
+    (certified by :func:`central_charge_is_one`)."""
     tau = sum((md.T[x].numeric() * md.dims[x] ** 2 for x in range(md.size)), complex(0))
     return tau / math.sqrt(md.global_dim)
+
+
+def central_charge_is_one(md):
+    """Exactly whether tau+ = sum_x d_x^2 theta_x is the integer square root
+    of the global dimension, as for every double, on the coordinates of lt T."""
+    _, lt, T = _encoded(md)[1]
+    tau, root = np.array([d * d for d in md.dims], dtype=object) @ T, math.isqrt(md.global_dim)
+    return root * root == md.global_dim and tau[0] == lt * root and not tau[1:].any()
 
 
 def pointed_labels(md):

@@ -437,31 +437,33 @@ def structure_invariants(group):
 # subgroups of S_n sit on the first points of the ambient set.
 
 
-def _family(n, degree, order, cycles):
+def _family(n, degree, order, cycles, exact=True):
     """The group on ``degree`` points generated by ``cycles()``, one list of
-    0-based cycles per generator.  The known order is checked against the
-    closure cap before anything is built."""
+    0-based cycles per generator.  The known order, or a lower bound on it
+    when not ``exact``, is checked against the closure cap before anything
+    is built."""
     if n < 1 or degree < n:
         raise ValueError("need 1 <= n <= degree")
     if order > DEFAULT_CLOSURE_CAP:
-        raise ClosureTooLarge(f"group order exceeds cap {DEFAULT_CLOSURE_CAP}")
+        known = "" if exact else "at least "
+        raise ClosureTooLarge(f"group order {known}{order} exceeds cap {DEFAULT_CLOSURE_CAP}")
     return PermGroup.from_generators(degree, [Permutation.from_cycles(degree, c) for c in cycles()])
 
 
 def _factorial(n):
-    """n!, computed only as far as needed to compare it with the closure cap."""
+    """(n!, True), or (a lower bound on n!, False) once the product passes
+    twice the closure cap before reaching n."""
     out = 1
     for k in range(2, n + 1):
         out *= k
         if out > 2 * DEFAULT_CLOSURE_CAP:
-            break
-    return out
+            return out, k == n
+    return out, True
 
 
 def symmetric_group(n, degree=None):
-    return _family(
-        n, degree or n, _factorial(n), lambda: [[(0, 1)], [tuple(range(n))]][: n - 1]
-    )
+    order, exact = _factorial(n)
+    return _family(n, degree or n, order, lambda: [[(0, 1)], [tuple(range(n))]][: n - 1], exact)
 
 
 def alternating_group(n, degree=None):
@@ -469,7 +471,8 @@ def alternating_group(n, degree=None):
         long = tuple(range(n)) if n % 2 == 1 else tuple(range(1, n))
         return [[(0, 1, 2)], [long]][: max(n - 2, 0)]
 
-    return _family(n, degree or n, max(_factorial(n) // 2, 1), cycles)
+    order, exact = _factorial(n)
+    return _family(n, degree or n, max(order // 2, 1), cycles, exact)
 
 
 def cyclic_group(n, degree=None):

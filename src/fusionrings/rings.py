@@ -12,24 +12,27 @@ only while an explicit bound keeps every sum exact there: float32 below
 Python integers (``cyclo._exact_dtype``).
 
 Every ring read off characters (Rep G, split bicrossed products, the
-Verlinde ring of a double) solves sum_z N[x][y][z] X[z] = P[x][y] on
-Z[zeta_m] coordinate arrays: X[z][t] is character z at column t and
-P[x][y][t] the product of characters x and y there.  ``_decompose`` solves
-it modulo the least prime p = 1 (mod m) above 2 max(d)^2 at which X is
-invertible and lifts the symmetric residues, since multiplicities lie in
-[0, max(d)^2]; ``_certify_decomposition`` checks N >= 0 and the equation
-exactly.  Each caller proves X invertible over Q(zeta_m) where it builds
-it, so the certificate pins N and no answer rests on the prime.
+Verlinde ring of a double) solves sum_z N[x][y][z] X[z] = P[x][y] over
+Z[zeta_m]: X[z][t] is character z at column t and P[x][y][t] the product
+of characters x and y there.  The caller gives the images of X and P at the
+embeddings of Z[zeta_m] into F_q, one prime q at a time, so P is a product
+of images, never of coordinates.  ``_decompose`` solves at the first prime
+where X is invertible and lifts the symmetric residues, since
+multiplicities lie in [0, max(d)^2]; ``_certify_decomposition`` checks
+N >= 0 and the equation at that prime and the next ones, until a bound on
+the coordinates of any difference makes the check exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import tables
-from .cyclo import _exact_dtype, _prime_divisors, _split_primes, _top
+from .cyclo import _ABOVE, _echelon, _embeddings, _evaluate, _exact_dtype, _mulmod, _prime_divisors
+from .cyclo import _product_bound, _top
 from .errors import AxiomViolation, GradingInconsistent, NoPositiveEigenvector, NonIntegralMultiplicity
 
 
@@ -200,67 +203,61 @@ def validate(ring):
         known = grown
 
 
-def _decompose(X, products, m, dims):
-    """The certified N with sum_z N[x, y, z] X[z] = products(x)[y], for X
-    (n, n, phi(m)) invertible over Q(zeta_m), products(x) = P[x] made one x
-    at a time (so no n^3 phi(m) array is held) and the n dimensions dims."""
-    p, powers, inverse = _solving_prime(X, m, dims)
-    rhs = np.stack([(products(x) % p).astype(powers.dtype) @ powers % p for x in range(len(X))])
-    N = (rhs @ inverse + p // 2) % p - p // 2  # [x, y, z], symmetric residues
-    _certify_decomposition(X, products, N)
-    return N.astype(np.int64)
-
-
-def _solving_prime(X, m, dims):
-    """(p, powers, inverse): the least prime p = 1 (mod m) above 2 max(d)^2 at
-    which X is invertible, the powers zeta_m^k mod p for k < phi(m), and the
-    inverse of X mod p; the arrays are in the dtype exact for the sums mod p."""
-    n, phi = X.shape[0], X.shape[2]
-    for p, omega in _split_primes(m, 2 * max(d * d for d in dims)):
-        dt = _exact_dtype(max(n, phi) * p * p)
-        powers = np.array([pow(omega, k, p) for k in range(phi)], dtype=dt)
-        X_p = (X % p).astype(dt) @ powers % p
-        # X_p is invertible iff the echelon form of [X_p | I] has every pivot in X_p
-        rows, pivots = _echelon(np.concatenate([X_p, np.eye(n, dtype=dt)], axis=1), p)
-        if pivots[-1] < n:
-            return p, powers, rows[:, n:]
-
-
-def _echelon(a, p):
-    """(rows, pivots): the nonzero rows of the reduced row echelon form of a
-    (entries in [0, p)) over F_p, by Gauss-Jordan, and their pivot columns;
-    int64 while products of two entries fit it."""
-    a = a.astype(np.int64) if p * p < 2**63 else a.copy()
-    pivots, col = [], 0
-    for top in range(len(a)):
-        live = a[top:, col:].any(axis=0).nonzero()[0]
-        if not live.size:
+def _decompose(system, m, bound, dims):
+    """The certified N with sum_z N[x, y, z] X[z] = P[x][y] over Z[zeta_m],
+    for dimensions dims, bound = (at least every coordinate of X, of P), and
+    system(q, E) = (images of X (n, n, phi(m)), x -> images of P[x]) at the
+    embeddings E (``cyclo._embedding``).  N is the symmetric lift of the
+    solution at the first prime above 2 max(d)^2 and 2**20 where X is
+    invertible under zeta_m -> w; such a prime exists because each caller
+    builds an X invertible over Q(zeta_m), and finding it proves that."""
+    n, above = len(dims), max(_ABOVE, 2 * max(d * d for d in dims))
+    images = ((q, *system(q, E)) for q, E, _ in _embeddings(m, above))
+    for q, X, products in images:
+        rows, pivots = _echelon(np.concatenate([X[:, :, 0], np.eye(n, dtype=X.dtype)], axis=1), q)
+        if pivots[-1] < n:  # every pivot lies in X
             break
-        col += int(live[0])
-        pivot = top + int(a[top:, col].nonzero()[0][0])
-        a[[top, pivot]] = a[[pivot, top]]
-        row = a[top] * pow(int(a[top, col]), -1, p) % p
-        a -= np.multiply.outer(a[:, col], row)  # clears the pivot row too
-        a %= p
-        a[top] = row
-        pivots.append(col)
-        col += 1
-    return a[:len(pivots)], pivots
+    N = np.stack([_mulmod(products(x)[:, :, 0], rows[:, n:], q) for x in range(n)])
+    N = ((N + q // 2) % q - q // 2).astype(np.int64)  # [x, y, z], symmetric residues
+    _certify_decomposition(chain([(q, X, products)], images), bound, N)
+    return N
 
 
-def _certify_decomposition(X, products, N):
-    """Certify exactly that N >= 0 and sum_z N[x, y, z] X[z] = products(x)[y]."""
+def _certify_decomposition(images, bound, N):
+    """Certify exactly that N >= 0 and sum_z N[x, y, z] X[z] = P[x][y], from
+    the images (q, X, products) of the system at increasing primes: with
+    bound = (bx, bp), the coordinates of a difference are at most
+    n max|N| bx + bp, so past twice that vanishing images make it zero."""
     if (N < 0).any():
         x, y, z = np.argwhere(N < 0)[0].tolist()
         raise NonIntegralMultiplicity(f"N[{x}][{y}][{z}] = {N[x, y, z]} is negative")
-    n = N.shape[0]
-    dt = _exact_dtype(n * _top(N) * _top(X))
-    columns = X.reshape(n, -1).astype(dt)
-    for x in range(n):
-        bad = (N[x].astype(dt) @ columns != products(x).reshape(n, -1)).any(axis=1)
-        if bad.any():
-            y = int(np.flatnonzero(bad)[0])
-            raise NonIntegralMultiplicity(f"N[{x}][{y}] fails the exact decomposition certificate")
+    n = len(N)
+    need, modulus = 2 * (n * _top(N) * bound[0] + bound[1]), 1
+    for q, X, products in images:
+        columns = X.reshape(n, -1)
+        for x in range(n):
+            bad = (_mulmod(N[x] % q, columns, q) != products(x).reshape(n, -1)).any(axis=1)
+            if bad.any():
+                y = int(np.flatnonzero(bad)[0])
+                raise NonIntegralMultiplicity(f"N[{x}][{y}] fails the exact decomposition certificate")
+        modulus *= q
+        if modulus > need:
+            return
+
+
+def _pointwise_system(A, m, weights):
+    """(system, m, bound) for _decompose with X[z][t] = weights[t] A[z][t]
+    and P[x][y][t] = A[x][t] A[y][t], on coordinates A (n, n, phi(m)): Rep G
+    (weights 1, A the characters) and Verlinde (weights L d_t, A = L S)."""
+    weights = np.asarray(weights, dtype=object)
+    top = _top(A)
+    bound = top * max(map(abs, weights)), top * top * _product_bound(m)
+
+    def system(q, E):
+        images = _evaluate(A, q, E)  # [z, t, e]
+        return images * (weights % q).astype(images.dtype)[:, None] % q, lambda x: images[x] * images % q
+
+    return system, m, bound
 
 
 def fp_dims(ring):

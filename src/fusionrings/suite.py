@@ -31,7 +31,7 @@ from .chartab import character_table, rep_g_fusion_ring
 from .cyclo import Cyclotomic, root_of_unity
 from .doubles import (
     TANNAKIAN,
-    central_charge,
+    central_charge_is_one,
     double_modular_data,
     is_tannakian_subset,
     pointed_labels,
@@ -204,7 +204,7 @@ def criterion_6():
         want = tables.abelian_invariants(_direct_product(abelianization, si.center))
         got = tables.abelian_invariants(inv.group)
         assert got == want, f"{name}: invertibles {got} vs {want}"
-        assert abs(central_charge(md) - 1) < 1e-9, name
+        assert central_charge_is_one(md), name
     return f"all {len(_DOUBLE_CORPUS)} doubles pass S/T/Verlinde/invertible/charge checks"
 
 

@@ -410,14 +410,14 @@ def test_pivot_cells_move_past_a_rank_deficient_prime():
     import numpy as np
 
     from fusionrings.bicross import _pivot_cells
-    from fusionrings.cyclo import _split_primes
+    from fusionrings.cyclo import _split_prime
 
     # three rational "characters" of degree 2 on one Gamma element and four
     # F elements; the first cell is zero, and the other three have
-    # determinant 11, the kernel's first prime above 2 * 2^2
+    # determinant 11, the first prime above 2 * 2^2
     rows = np.array([[0, 2, -1, 0], [0, 2, 2, 1], [0, 1, 0, 2]])
     assert round(np.linalg.det(rows[:, 1:])) == 11
-    assert next(_split_primes(1, 8))[0] == 11
+    assert _split_prime(1, 8, 0)[0] == 11
     chi = rows.reshape(3, 1, 4, 1)
     assert _pivot_cells(chi, 1, (2, 2, 2)).tolist() == [1, 2, 3]
 

@@ -18,6 +18,42 @@ def rand_cyclo(rng, n, height=20):
     return Cyclotomic(n, coeffs)
 
 
+# (conductor, raw coefficients, least conductor): sqrt(2), sqrt(-3), sqrt(5),
+# zeta_12, 1/3 + i/2 and 1 + zeta_5, each written at a larger conductor
+MINIMAL_POLYNOMIAL_CASES = [
+    (24, {3: 1, 21: 1}, 8),
+    (12, {4: 1, 8: -1}, 3),
+    (20, {0: 1, 4: 2, 16: 2}, 5),
+    (24, {2: 1}, 12),
+    (24, {0: Fraction(1, 3), 6: Fraction(1, 2)}, 4),
+    (10, {0: 1, 2: 1}, 5),
+]
+
+
+@pytest.mark.parametrize("n, raw, least", MINIMAL_POLYNOMIAL_CASES)
+def test_canonical_form_and_inverse_against_sympy(n, raw, least):
+    """The canonical form names the same algebraic number as the raw input,
+    at the least conductor, and x * x.inverse() = 1, by sympy's
+    minimal_polynomial on exp(2 pi i e / n) sums."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def number(conductor, coeffs):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.exp(2 * sympy.pi * sympy.I * sympy.Rational(e, conductor))
+             for e, c in coeffs.items()),
+            sympy.Integer(0),
+        )
+
+    value = Cyclotomic(n, raw)
+    assert value.conductor == least
+    given_number = number(n, {e: Fraction(c) for e, c in raw.items()})
+    canonical = number(value.conductor, value.coeffs)
+    assert sympy.minimal_polynomial(canonical - given_number, x) == x  # the difference is 0
+    inverse = value.inverse()
+    assert sympy.minimal_polynomial(number(inverse.conductor, inverse.coeffs) * canonical - 1, x) == x
+
+
 def test_root_of_unity_canonical_examples():
     assert root_of_unity(4, 2) == Cyclotomic.rational(-1)
     assert root_of_unity(4, 2).conductor == 1

@@ -774,6 +774,15 @@ def test_cli_closure_cap_reports_how_far_the_closure_got(capsys):
     assert reached and 10_000 < int(reached[1]) < 40_320
 
 
+@pytest.mark.parametrize(
+    "spec, order", [("S8", "40320"), ("A8", "20160"), ("S9", "at least 40320"), ("A10", "at least 20160")]
+)
+def test_cli_family_cap_names_the_order_it_refused(capsys, spec, order):
+    code, out = run_cli(["group", spec])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == f"error: budget: group order {order} exceeds cap 10000\n"
+
+
 def _analyze_ring(tmp_path, labels, products):
     """analyze on the fusionring document of the ring whose non-unit
     products are ``products``: {(i, j): support of i*j}, multiplicity 1."""

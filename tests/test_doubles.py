@@ -14,6 +14,7 @@ from fusionrings.doubles import (
     SUPER_TANNAKIAN_ONLY,
     TANNAKIAN,
     central_charge,
+    central_charge_is_one,
     centralizer_subset,
     double_modular_data,
     is_tannakian_subset,
@@ -140,8 +141,23 @@ def test_projective_centralizer_properties():
 
 
 def test_central_charge_one():
-    for g in [symmetric_group(3), alternating_group(4), cyclic_group(1)]:
-        assert abs(central_charge(double_modular_data(g)) - 1) < 1e-9
+    """tau+ = sum_x d_x^2 theta_x equals |G| exactly, on T's coordinates; the
+    displayed float agrees."""
+    for g in [symmetric_group(3), alternating_group(4), cyclic_group(1), cyclic_group(5)]:
+        md = double_modular_data(g)
+        assert central_charge_is_one(md)
+        assert abs(central_charge(md) - 1) < 1e-9
+
+
+def test_central_charge_certificate_rejects_a_wrong_twist():
+    import dataclasses
+
+    md = double_modular_data(symmetric_group(3))
+    x = next(x for x, t in enumerate(md.T) if t != t.conjugate())  # a twist zeta_3^k, k = 1, 2
+    flipped = list(md.T)
+    flipped[x] = md.T[x].conjugate()
+    assert not central_charge_is_one(dataclasses.replace(md, T=tuple(flipped)))
+    assert not central_charge_is_one(dataclasses.replace(md, global_dim=md.global_dim + 1))
 
 
 def test_s_equivalence_relabeled():
@@ -282,12 +298,17 @@ def test_fusion_tensor_matches_the_cyclotomic_verlinde_sum():
 def test_exact_certificate_rejects_what_the_prime_cannot_see():
     """The certificate of the shared decomposition kernel, on a Verlinde, a
     Rep G and a split-ring system: a lifted tensor off by one and one shifted
-    by the kernel's prime (the same residue mod p) are both rejected."""
+    by the kernel's solving prime (the same residue there) are both rejected,
+    by a certificate that starts at that prime."""
     from fusionrings.bicross import _split_system, matched_pair_from_factorization, split_irreps
-    from fusionrings.chartab import _rep_system, character_table
-    from fusionrings.doubles import _verlinde_system
+    from fusionrings.chartab import character_table
+    from fusionrings.cyclo import _echelon, _embeddings
+    from fusionrings.doubles import _encoded
     from fusionrings.errors import NonIntegralMultiplicity
-    from fusionrings.rings import _certify_decomposition, _decompose, _solving_prime
+    from fusionrings.rings import _certify_decomposition, _decompose, _pointwise_system
+
+    def images(system, m, above):
+        return ((q, *system(q, E)) for q, E, _ in _embeddings(m, above))
 
     md = double_modular_data(symmetric_group(3))
     table = character_table(symmetric_group(4))
@@ -295,20 +316,23 @@ def test_exact_certificate_rejects_what_the_prime_cannot_see():
         alternating_group(5), cyclic_group(5, degree=5), alternating_group(4, degree=5)
     )
     irreps = split_irreps(k5)
+    m, scale, A = _encoded(md)[0]
     cases = [
-        (_verlinde_system(md), md.dims, (3, 4, 5)),
-        (_rep_system(table), table.degrees, (3, 4, 2)),
+        (_pointwise_system(A, m, [scale * d for d in md.dims]), md.dims, (3, 4, 5)),
+        (_pointwise_system(table.codes[table.index], table.m, [1] * table.num_classes), table.degrees, (3, 4, 2)),
         (_split_system(k5, irreps), [w.dim for w in irreps], (10, 11, 5)),
     ]
-    for (X, products, m), dims, entry in cases:
-        p = _solving_prime(X, m, dims)[0]
-        good = _decompose(X, products, m, dims)
-        _certify_decomposition(X, products, good)
+    for (system, m, bound), dims, entry in cases:
+        # the solving prime: the first above 2**20 and 2 max(d)^2 at which X is invertible
+        primes = images(system, m, max(2**20, 2 * max(d * d for d in dims)))
+        p = next(q for q, X, _ in primes if len(_echelon(X[:, :, 0], q)[1]) == len(dims))
+        good = _decompose(system, m, bound, dims)
+        _certify_decomposition(images(system, m, p - 1), bound, good)
         for shift in (1, p):
             bad = good.copy()
             bad[entry] += shift
             with pytest.raises(NonIntegralMultiplicity):
-                _certify_decomposition(X, products, bad)
+                _certify_decomposition(images(system, m, p - 1), bound, bad)
 
 
 def test_corrupted_s_fails_the_s_squared_certificate():
@@ -450,3 +474,20 @@ def test_modular_layer_does_no_cyclotomic_arithmetic(group, monkeypatch):
     assert is_tannakian_subset(md, tuple(x for x, l in enumerate(md.labels) if l.class_rep.is_identity())) == TANNAKIAN
     with pytest.raises(AssertionError, match="Cyclotomic arithmetic"):
         md.S[1][1] * md.S[1][1]
+
+
+def test_double_of_a7_holds_no_phi_squared_array():
+    """D(A7): 74 labels at M = 420, phi(M) = 96.  The S block and the S^2
+    certificate hold labels^2 phi(M) arrays of images, so the traced peak
+    stays under 200 MB; one (labels phi(M))^2 int64 array would be 385 MB."""
+    import tracemalloc
+
+    group = alternating_group(7)
+    tracemalloc.start()
+    try:
+        md = double_modular_data(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert md.size == 74
+    assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MB"

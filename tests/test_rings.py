@@ -252,20 +252,30 @@ def test_subring_generated_matches_pairwise_oracle():
 def test_decomposition_kernel_skips_a_prime_where_x_is_singular():
     import numpy as np
 
-    from fusionrings.rings import _decompose, _solving_prime
+    from fusionrings.cyclo import _evaluate, _split_prime
+    from fusionrings.rings import _decompose
 
-    # characters of Z/2 scaled so that X = diag(1, 3) is singular mod 3, the
-    # first candidate prime above 2 max(d)^2 = 2
-    X = np.array([[1, 0], [0, 3]]).reshape(2, 2, 1)
+    # characters of Z/2 scaled so that X = diag(1, q) is singular mod q, the
+    # first prime above 2**20, where the kernel's primes start
+    q0, q1, q2 = (_split_prime(1, 2**20, k)[0] for k in range(3))
+    X = np.array([[1, 0], [0, q0]]).reshape(2, 2, 1)
     N = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]])
     P = np.einsum("xyz,ztc->xytc", N, X)
-    assert round(np.linalg.det(X[:, :, 0])) % 3 == 0
-    assert _solving_prime(X, 1, (1, 1))[0] == 5
-    assert np.array_equal(_decompose(X, P.__getitem__, 1, (1, 1)), N)
-    # dimensions of 2^16 push p past 2^33, where the sums mod p need Python ints
-    p, powers, _ = _solving_prime(X, 1, (2**16, 2**16))
-    assert p > 2**33 and powers.dtype == object
-    assert np.array_equal(_decompose(X, P.__getitem__, 1, (2**16, 2**16)), N)
+    seen = []
+
+    def system(q, E):
+        seen.append((q, E.dtype))
+        return _evaluate(X, q, E), lambda x: _evaluate(P[x], q, E)
+
+    assert round(np.linalg.det(X[:, :, 0])) % q0 == 0
+    assert np.array_equal(_decompose(system, 1, (q0, q0), (1, 1)), N)
+    # solved at q1, then certified at q1 and q2: twice the coordinate bound
+    # 2 * 1 * q0 + q0 of a difference is 6 q0 < q1 q2; a solve at q0 would stop at q1
+    assert [q for q, _ in seen] == [q0, q1, q2]
+    # dimensions of 2^16 push the primes past 2^33, where the sums mod p need Python ints
+    seen.clear()
+    assert np.array_equal(_decompose(system, 1, (q0, q0), (2**16, 2**16)), N)
+    assert seen[0][0] > 2**33 and all(dtype == object for _, dtype in seen)
 
 
 @pytest.mark.parametrize("b", [2363, 2365])
