@@ -1,5 +1,6 @@
 """Matched pairs from exact group factorizations and the representation
-invariants of the split bicrossed product k^Gamma # kF.
+invariants of the split bicrossed product k^Gamma # kF: the scope is the
+split case, with trivial cocycles.
 
 Irreducibles are indexed by (F-orbit on Gamma, irreducible of the stabilizer);
 orbits with one stabilizer share its subgroup, character table and cosets,
@@ -121,24 +122,16 @@ def matched_pair_from_factorization(group, f, gamma):
 
 def bowtie_group(mp):
     """The group on F x Gamma with (x,s)(y,t) = (x(s|>y), (s<|y)t), realized
-    inside the ambient group via (x,s) -> x*s; the law is verified."""
+    inside the ambient group via (x,s) -> x*s; the law, x s y t =
+    x (s|>y)(s<|y) t for all x and t, holds exactly when s y = (s|>y)(s<|y),
+    which is verified at every (s, y)."""
     g = mp.ambient
     fi = g.index_rows(mp.f.images)
     gi = g.index_rows(mp.gamma.images)
-    every_x, every_s = np.arange(mp.f.order), np.arange(mp.gamma.order)
-    if g.order <= 400:
-        xs, ss, ts = every_x, every_s, every_s
-    else:
-        xs = np.array((*mp.f.gens, mp.f.unit))
-        ss = np.array((*mp.gamma.gens, mp.gamma.unit))
-        ts = np.array((mp.gamma.unit, *mp.gamma.gens))
-    x, s, y, t = (a.reshape(-1) for a in np.meshgrid(xs, ss, every_x, ts, indexing="ij"))
-    lhs = g.mul(g.mul(fi[x], gi[s]), g.mul(fi[y], gi[t]))
-    rhs = g.mul(g.mul(fi[x], fi[mp.rtab[s, y]]), g.mul(gi[mp.ltab[s, y]], gi[t]))
-    bad = np.flatnonzero(lhs != rhs)
-    if bad.size:
-        k = bad[0]
-        raise GroupLawFailure(f"law fails at F/Gamma indices {(x[k], s[k], y[k], t[k])}")
+    bad = g.mul(gi[:, None], fi[None, :]) != g.mul(fi[mp.rtab], gi[mp.ltab])
+    if bad.any():
+        s, y = np.argwhere(bad)[0].tolist()
+        raise GroupLawFailure(f"law fails at Gamma/F indices {(s, y)}")
     return g
 
 
@@ -147,7 +140,7 @@ def gamma_action(mp):
     # x . (s <| x) = s
     table = np.empty((mp.f.order, mp.gamma.order), dtype=np.intp)
     table[np.arange(mp.f.order)[None, :], mp.ltab] = np.arange(mp.gamma.order)[:, None]
-    return GroupAction(mp.f, mp.gamma.elements, table, verify=True)
+    return GroupAction(mp.f, mp.gamma.elements, table)
 
 
 @dataclass(frozen=True)
@@ -171,13 +164,9 @@ class ExtIrrep:
         return len(self.coset_reps) * self.stab_degree
 
 
-def split_irreps(mp, cocycles=None):
-    """All irreducibles of k^Gamma # kF in canonical order (unit first).
-
-    Only the split case is supported; passing cocycle data is rejected.
-    """
-    if cocycles is not None:
-        raise ValueError("only split products (trivial cocycles) are supported")
+def split_irreps(mp):
+    """All irreducibles of the split product k^Gamma # kF in canonical order
+    (unit first)."""
     f, gamma = mp.f, mp.gamma
     out = []
     per_stabilizer = {}  # stabilizer -> its table and canonical left coset reps
@@ -213,10 +202,10 @@ def split_type(mp):
     return tables._tally(w.dim for w in split_irreps(mp))
 
 
-def split_fusion_ring(mp, cocycles=None):
-    """The based ring of Rep(k^Gamma # kF), decomposed and certified by
-    ``rings``' kernel at the pivot columns."""
-    irreps = split_irreps(mp, cocycles)
+def split_fusion_ring(mp):
+    """The based ring of Rep(k^Gamma # kF), split, decomposed and certified
+    by ``rings``' kernel at the pivot columns."""
+    irreps = split_irreps(mp)
     dims = tuple(w.dim for w in irreps)
     tensor = rings._decompose(*_split_system(mp, irreps), dims)
     labels = tuple(f"({w.orbit_rep.cycle_string()},{w.stab_row})" for w in irreps)

@@ -24,6 +24,7 @@ from .doubles import double_modular_data, s_equivalence, verlinde_fusion
 from .equivalence import find_equivalence
 from .errors import (
     ClosureTooLarge,
+    ConductorTooLarge,
     NotAutomorphism,
     NotExactFactorization,
     SearchBudgetExceeded,
@@ -218,7 +219,7 @@ def _cmd_sequiv(args, command):
 def _cmd_paper_suite(args, command):
     from .suite import run_suite
 
-    results = run_suite(verbose=True)
+    results = run_suite()
     return 0 if all(r.passed for r in results) else 4
 
 
@@ -308,7 +309,7 @@ def main(argv=None):
     except (SearchBudgetExceeded, ClosureTooLarge, TooManyClasses, TooManyLabels) as exc:
         print(f"error: budget: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, NotExactFactorization, NotAutomorphism) as exc:
+    except (ValueError, OSError, ConductorTooLarge, NotExactFactorization, NotAutomorphism) as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, WorkbenchError) as exc:

@@ -3,7 +3,8 @@
 Documents are UTF-8 JSON with sorted keys and fixed separators, so identical
 payloads serialize to identical bytes.  Rationals travel as "p/q" strings,
 permutations as 1-based cycle strings.  Provenance never takes part in
-document comparison.
+document comparison.  Fusion rings are read through ``rings._certified``,
+the one certified constructor, which checks the dims a document claims.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import cache
 
 from . import cyclo, rings
 from .doubles import DoubleLabel, ModularData, _certify_modular
-from .errors import AxiomViolation
+from .errors import AxiomViolation, NonIntegralMultiplicity
 from .perms import PermGroup, Permutation
 
 SCHEMA_VERSION = "1"
@@ -47,7 +48,10 @@ def dumps(doc):
 
 
 def loads(text):
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("a document nests deeper than the JSON parser allows") from None
     if not isinstance(doc, dict):
         raise ValueError(f"a document is a JSON object, not {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -150,20 +154,16 @@ def _check_ring_payload(payload):
 
 
 def ring_from_payload(payload):
-    """The fusion ring of an input document; a malformed document, a broken
-    axiom or dims that are not the exact dimensions of the tensor raise
-    ValueError."""
+    """The fusion ring of an input document, built by ``rings._certified``;
+    a malformed document, a broken axiom or dims that are not the exact
+    dimensions of the tensor raise ValueError."""
     _check_ring_payload(payload)
     try:
-        ring = rings.FusionRing(payload["labels"], payload["tensor"], payload["dual"])
-        rings.validate(ring)
+        return rings._certified(payload["labels"], payload["tensor"], payload.get("dims"), payload["dual"])
     except (AxiomViolation, OverflowError) as exc:
         raise ValueError(f"fusionring document: {exc}") from exc
-    if payload.get("dims") is not None:
-        got = rings.fp_dims(ring)
-        if not (got.exact and list(got.dims) == payload["dims"]):
-            raise ValueError(f"fusionring dims {payload['dims']} are not the tensor's dimensions")
-    return ring
+    except NonIntegralMultiplicity:
+        raise ValueError(f"fusionring dims {payload['dims']} are not the tensor's dimensions") from None
 
 
 # -- matched pairs

@@ -1,4 +1,4 @@
-"""Modular data of quantum doubles of finite groups.
+"""Modular data of the untwisted quantum doubles of finite groups.
 
 Simple objects are (conjugacy class, centralizer irreducible) pairs.  S and
 T are built on the integer Z[zeta_M] coordinates that the centralizer
@@ -77,13 +77,8 @@ class ModularData:
         return len(self.labels)
 
 
-def double_modular_data(group, twist=None):
-    """Exact S and T matrices of the double of a finite group.
-
-    Only the untwisted double is supported; twist data is rejected.
-    """
-    if twist is not None:
-        raise ValueError("only untwisted doubles are supported")
+def double_modular_data(group):
+    """Exact S and T matrices of the untwisted double of a finite group."""
     classes = group.conjugacy_classes()
     order = group.order
     cents = [group.centralizer_of(rep) for rep, _ in classes]

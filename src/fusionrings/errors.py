@@ -17,6 +17,10 @@ class TooManyLabels(WorkbenchError):
     """A quantum double was asked for more simple objects than its work bound."""
 
 
+class ConductorTooLarge(WorkbenchError):
+    """A document names a cyclotomic conductor above the reduction table bound."""
+
+
 class LiftFailure(WorkbenchError):
     """Character-table modular lift could not be certified."""
 

@@ -355,34 +355,29 @@ class GroupAction:
     """A PermGroup acting on a finite labelled set, as an index table.
 
     ``table[g, i]`` is the domain position of g.x for the element of index g
-    and x = ``domain[i]``, with ``(gh).x == g.(h.x)``.
+    and x = ``domain[i]``, with ``(gh).x == g.(h.x)``, which is verified.
     """
 
-    def __init__(self, group, domain, table, verify=True):
+    def __init__(self, group, domain, table):
         self.group = group
         self.domain = tuple(domain)
-        self.table = np.asarray(table, dtype=np.intp)
-        if verify:
-            self._verify()
+        self.table = t = np.asarray(table, dtype=np.intp)
+        moved = np.flatnonzero(t[group.unit] != np.arange(len(self.domain)))
+        if moved.size:
+            raise ValueError(f"identity moves {self.domain[moved[0]]!r}")
+        # (hs).x == h.(s.x) for every h and generator s makes t a homomorphism
+        for s, r in zip(group.gens, group.rmul):
+            if not np.array_equal(t[r], t[:, t[s]]):
+                raise ValueError("not an action: composition fails")
 
     @classmethod
-    def from_function(cls, group, domain, act, verify=True):
+    def from_function(cls, group, domain, act):
         domain = tuple(domain)
         pos = {x: i for i, x in enumerate(domain)}
         table = np.array(
             [[pos[act(g, x)] for x in domain] for g in group.elements], dtype=np.intp
         ).reshape(group.order, len(domain))
-        return cls(group, domain, table, verify=verify)
-
-    def _verify(self):
-        t = self.table
-        moved = np.flatnonzero(t[self.group.unit] != np.arange(len(self.domain)))
-        if moved.size:
-            raise ValueError(f"identity moves {self.domain[moved[0]]!r}")
-        # (hs).x == h.(s.x) for every h and generator s makes t a homomorphism
-        for s, r in zip(self.group.gens, self.group.rmul):
-            if not np.array_equal(t[r], t[:, t[s]]):
-                raise ValueError("not an action: composition fails")
+        return cls(group, domain, table)
 
     def orbits(self):
         """Orbits sorted by (size, representative position); reps carry

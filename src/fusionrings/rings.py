@@ -21,6 +21,11 @@ where X is invertible and lifts the symmetric residues, since
 multiplicities lie in [0, max(d)^2]; ``_certify_decomposition`` checks
 N >= 0 and the equation at that prime and the next ones, until a bound on
 the coordinates of any difference makes the check exact.
+
+``_certified`` is the one certified constructor, for these rings and for
+documents: it validates, and certifies claimed dimensions d exactly by
+N d = d d^T, so the eigenvector search of ``fp_dims`` runs only for rings
+whose dimensions nobody claimed.
 """
 
 from __future__ import annotations
@@ -261,52 +266,61 @@ def _pointwise_system(A, m, weights):
 
 
 def fp_dims(ring):
-    """Per-basis Frobenius-Perron dimensions plus the global dimension.
+    """Per-basis Frobenius-Perron dimensions plus the global dimension:
+    those ``_certified`` cached, else a power iteration's rounded candidate
+    if ``_exact_dims`` passes it, else the certified numeric eigenvector."""
+    if ring._dims is None:
+        ring._dims = _search_dims(ring)
+    return ring._dims
 
-    Tries the exact integer vector first; falls back to a certified numeric
-    eigenvector when the basis dimensions are not rational integers.
-    """
-    if ring._dims is not None:
-        return ring._dims
-    n = ring.size
+
+def _search_dims(ring):
     N = ring.N.astype(np.float64)
     A = N.sum(axis=0)
-    v = np.ones(n)
+    v = np.ones(ring.size)
     for _ in range(20000):
-        w = A @ v
-        w /= w.max()
-        if np.max(np.abs(w - v)) < 1e-15:
-            v = w
+        w, v = v, A @ v
+        v /= v.max()
+        if np.max(np.abs(v - w)) < 1e-15:
             break
-        v = w
     if v[0] <= 0:
         raise NoPositiveEigenvector()
     d = v / v[0]
-    cand = np.rint(d).astype(np.int64)
-    if np.all(cand >= 1):
-        top = _top(cand)
-        c = cand.astype(_exact_dtype(max(n * _top(ring.N) * top, top * top)))
-        if np.array_equal(ring.N.astype(c.dtype) @ c, np.outer(c, c)):
-            dims = tuple(int(x) for x in cand)
-            result = FPDims(dims=dims, exact=True, total=int(sum(x * x for x in dims)))
-            ring._dims = result
-            return result
+    exact = _exact_dims(ring, np.rint(d).astype(np.int64).tolist())
+    if exact is not None:
+        return exact
     resid = np.max(np.abs(np.einsum("ijk,k->ij", N, d) - np.outer(d, d)))
     if not np.all(d > 0) or resid > 1e-10 * max(1.0, d.max() ** 2):
         raise NoPositiveEigenvector(f"residual {resid}")
-    result = FPDims(dims=tuple(float(x) for x in d), exact=False, total=float(np.sum(d * d)))
-    ring._dims = result
-    return result
+    return FPDims(dims=tuple(float(x) for x in d), exact=False, total=float(np.sum(d * d)))
+
+
+def _exact_dims(ring, dims):
+    """The exact FPDims when the integers dims are positive and
+    sum_k N[i, j, k] d_k = d_i d_j, else None: a character of a based ring
+    that is positive on the basis is its Frobenius-Perron dimension
+    (Etingof-Gelaki-Nikshych-Ostrik, Prop. 3.3.6)."""
+    dims = tuple(map(int, dims))
+    if min(dims) < 1:
+        return None
+    top = max(dims)
+    dt = _exact_dtype(max(ring.size * _top(ring.N) * top, top * top))
+    d = np.array(dims, dtype=dt)
+    if not np.array_equal(ring.N.astype(dt) @ d, np.outer(d, d)):
+        return None
+    return FPDims(dims=dims, exact=True, total=sum(x * x for x in dims))
 
 
 def _certified(labels, tensor, dims, dual=None):
-    """The FusionRing on ``tensor``, every axiom checked and its exact
-    dimensions certified equal to the known ``dims``."""
+    """The one certified constructor: the FusionRing on ``tensor``, every
+    axiom checked (``validate``) and ``dims`` certified as its exact
+    dimensions (``_exact_dims``), unless None: then ``fp_dims`` searches."""
     ring = FusionRing(labels, tensor, dual)
     validate(ring)
-    got = fp_dims(ring)
-    if not (got.exact and got.dims == dims):
-        raise NonIntegralMultiplicity("ring dimensions disagree with the known dimensions")
+    if dims is not None:
+        ring._dims = _exact_dims(ring, dims)
+        if ring._dims is None:
+            raise NonIntegralMultiplicity(f"dims {list(dims)} are not the ring's dimensions")
     return ring
 
 

@@ -42,8 +42,9 @@ def _dihedral_order_for(sig, total):
     return n if sig == expect else None
 
 
-def solvability_verdict(ring, catalog=None):
-    """First-match evaluation of rules R1..R8, then UNKNOWN."""
+def solvability_verdict(ring):
+    """First-match evaluation of rules R1..R8, then UNKNOWN; R7 matches
+    against the default catalog."""
     trace = []
 
     def fire(rule, statement, fact, verdict):
@@ -120,11 +121,9 @@ def solvability_verdict(ring, catalog=None):
     skip("R6", "type rule does not apply")
 
     # R7: match against the reference catalog
-    if catalog is None:
-        from .catalog import default_catalog
+    from .catalog import default_catalog
 
-        catalog = default_catalog()
-    for entry in catalog:
+    for entry in default_catalog():
         if not dims.exact or dims.total != entry.fpdim or sig != entry.type_signature():
             continue
         if find_equivalence(ring, entry.ring()) is not None:

@@ -392,15 +392,12 @@ def run_criterion(number):
     return CriterionResult(num, desc, passed, detail, elapsed)
 
 
-def run_suite(verbose=False, numbers=None):
+def run_suite():
     results = []
-    for num, desc, _, _ in _CRITERIA:
-        if numbers and num not in numbers:
-            continue
+    for num, _, _, _ in _CRITERIA:
         res = run_criterion(num)
         results.append(res)
-        if verbose:
-            tag = "PASS" if res.passed else "FAIL"
-            print(f"{tag}  criterion {res.number:2d}  {res.description}: {res.detail} "
-                  f"[{res.elapsed:.1f}s]")
+        tag = "PASS" if res.passed else "FAIL"
+        print(f"{tag}  criterion {res.number:2d}  {res.description}: {res.detail} "
+              f"[{res.elapsed:.1f}s]")
     return results

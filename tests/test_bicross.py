@@ -2,6 +2,8 @@
 dual invertibles, equivariantization types."""
 
 import hashlib
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +19,7 @@ from fusionrings.bicross import (
     split_type,
 )
 from fusionrings.cyclo import Cyclotomic
-from fusionrings.errors import NotAutomorphism, NotExactFactorization
+from fusionrings.errors import GroupLawFailure, NotAutomorphism, NotExactFactorization
 from fusionrings.perms import (
     Permutation,
     alternating_group,
@@ -58,11 +60,6 @@ def test_not_exact_factorization():
         matched_pair_from_factorization(g, g, g)
 
 
-def test_nontrivial_cocycles_rejected():
-    with pytest.raises(ValueError):
-        split_irreps(pair_in_a5_c5_a4(), cocycles={})
-
-
 def test_decomposition_identity():
     mp = pair_in_s5_c5_s4()
     for s in mp.gamma.elements:
@@ -94,6 +91,19 @@ def test_bowtie_trivial_gamma():
     triv = g.subgroup([])
     mp = matched_pair_from_factorization(g, g, triv)
     assert bowtie_group(mp).order == 4
+
+
+def test_bowtie_group_checks_every_row_of_gamma():
+    # S6 = C6 * S5 (order 720): one s |> y corrupted in a row of Gamma that
+    # is neither the unit nor a generator
+    mp = benchmark_pairs()["S6=C6.S5"]
+    assert bowtie_group(mp).order == 720
+    s = next(s for s in range(mp.gamma.order) if s != mp.gamma.unit and s not in mp.gamma.gens)
+    rtab = mp.rtab.copy()
+    rtab[s, 1] = (rtab[s, 1] + 1) % mp.f.order
+    with pytest.raises(GroupLawFailure) as failure:
+        bowtie_group(replace(mp, rtab=rtab))
+    assert str(failure.value) == f"law fails at Gamma/F indices ({s}, 1)"
 
 
 def orbit_sizes_oracle(mp):
@@ -369,6 +379,33 @@ def test_dual_invertibles_match_cyclotomic_oracle():
         di = dual_invertibles(mp)
         got = tuple(map(tuple, di.group.table.tolist())), di.name, di.center_order
         assert got == dual_invertibles_oracle(mp), name
+
+
+def test_dual_invertibles_are_the_invertibles_of_the_split_ring():
+    """One side is read off F's linear characters, the other off the
+    certified fusion ring: order, element orders, name and centre agree."""
+    from fusionrings import tables
+    from fusionrings.catalog import (
+        pair_cyclic_alternating,
+        pair_cyclic_symmetric,
+        pair_transposition_alternating,
+    )
+
+    named = {
+        "K5": pair_cyclic_alternating(5),
+        "J5": pair_cyclic_symmetric(5),
+        "B5": pair_transposition_alternating(5),
+        "H5": pair_cyclic_symmetric(5).dual(),
+        "L5": pair_cyclic_alternating(5).dual(),
+    }
+
+    def summary(group, name, center_order):
+        return group.order, Counter(tables.element_orders(group).tolist()), name, center_order
+
+    for name, mp in [*benchmark_pairs().items(), *named.items()]:
+        di, inv = dual_invertibles(mp), rings.invertibles(split_fusion_ring(mp))
+        want = summary(inv.group, inv.name, len(tables.center(inv.group)))
+        assert summary(di.group, di.name, di.center_order) == want, name
 
 
 # sha256 of the tensors: the first four recorded while the pivots came from

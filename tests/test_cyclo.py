@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from fusionrings.cyclo import Cyclotomic, from_document, root_of_unity, to_document
+from fusionrings.cyclo import (
+    MAX_CONDUCTOR,
+    Cyclotomic,
+    _monomial_reduction,
+    from_document,
+    root_of_unity,
+    to_document,
+)
+from fusionrings.errors import ConductorTooLarge
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 15, 20, 24]
 
@@ -187,3 +195,12 @@ def test_integer_coercion():
     assert 2 * z + 1 - 1 == z + z
     assert (z * 0).is_zero()
     assert Fraction(1, 2) * Cyclotomic.rational(4) == Cyclotomic.rational(2)
+
+
+def test_document_conductor_bound_is_checked_before_any_table():
+    assert MAX_CONDUCTOR >= 420  # D(S7), the largest conductor in the pinned documents
+    assert from_document({"conductor": MAX_CONDUCTOR, "coeffs": [[1, "1/1"]]}) == root_of_unity(MAX_CONDUCTOR)
+    misses = _monomial_reduction.cache_info().misses
+    with pytest.raises(ConductorTooLarge, match=f"conductor {MAX_CONDUCTOR + 1} exceeds the bound of {MAX_CONDUCTOR}"):
+        from_document({"conductor": MAX_CONDUCTOR + 1, "coeffs": [[1, "1/1"]]})
+    assert _monomial_reduction.cache_info().misses == misses

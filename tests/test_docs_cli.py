@@ -13,6 +13,7 @@ import pytest
 from fusionrings import docs, rings
 from fusionrings.chartab import MAX_CLASSES, character_table, rep_g_fusion_ring
 from fusionrings.cli import main, parse_group_spec
+from fusionrings.cyclo import MAX_CONDUCTOR
 from fusionrings.doubles import MAX_LABELS, double_modular_data
 from fusionrings.perms import Permutation, symmetric_group
 
@@ -267,9 +268,14 @@ def _break_bad_entry(p):
     p["s"][1][1] = {"conductor": 0, "coeffs": [[0, "1/0"]]}
 
 
+def _break_conductor_past_bound(p):
+    p["t"][1] = {"conductor": MAX_CONDUCTOR + 1, "coeffs": [[1, "1/1"]]}  # a root of unity
+
+
 @pytest.mark.parametrize(
     "breaker",
-    [_break_missing_s, _break_ragged_s, _break_short_row, _break_short_s, _break_missing_t, _break_bad_entry],
+    [_break_missing_s, _break_ragged_s, _break_short_row, _break_short_s, _break_missing_t, _break_bad_entry,
+     _break_conductor_past_bound],
 )
 def test_cli_malformed_modular_documents_are_usage_errors(tmp_path, breaker):
     _, text = run_cli(["double", "S3"])
@@ -807,3 +813,50 @@ def test_analyze_invertibles_of_non_integral_rings(tmp_path):
     assert ising["invertibles"] == {"order": 2, "name": "C2"} and "type" not in ising
     fibonacci = _analyze_ring(tmp_path, ("1", "tau"), {(1, 1): [0, 1]})
     assert fibonacci["invertibles"] == {"order": 1, "name": "1"} and "type" not in fibonacci
+
+
+@pytest.mark.parametrize("opener", ["[", '{"a":'])
+def test_cli_deeply_nested_documents_are_usage_errors(tmp_path, capsys, opener):
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 100_000)
+    for command in ("analyze", "verlinde"):
+        assert run_cli([command, str(path)]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dims", [[1, 7, 9], [2, 1, 1], [1, 1, -2], [1, 1, 2**64]])
+def test_cli_wrong_ring_dims_name_the_claim(tmp_path, capsys, dims):
+    doc = docs.loads(run_cli(["repring", "S3"])[1])
+    assert doc["payload"]["dims"] == [1, 1, 2]
+    doc["payload"]["dims"] = dims
+    path = tmp_path / "ring.json"
+    path.write_text(docs.dumps(doc))
+    assert run_cli(["analyze", str(path)]) == (2, "")
+    assert capsys.readouterr().err == f"error: usage: fusionring dims {dims} are not the tensor's dimensions\n"
+
+
+def test_certified_rings_and_their_documents_skip_the_dimension_search(monkeypatch):
+    """Rep G, split and Verlinde rings carry their dims certified, and so do
+    documents that state them; only a document without dims searches."""
+    from fusionrings.bicross import split_fusion_ring
+    from fusionrings.catalog import pair_cyclic_alternating
+    from fusionrings.doubles import verlinde_fusion
+
+    def search(ring):
+        raise AssertionError("eigenvector search for known dimensions")
+
+    monkeypatch.setattr(rings, "_search_dims", search)
+    for ring in (
+        rep_g_fusion_ring(character_table(symmetric_group(4))),
+        split_fusion_ring(pair_cyclic_alternating(5)),
+        verlinde_fusion(double_modular_data(symmetric_group(3))),
+    ):
+        dims = rings.fp_dims(ring)
+        assert dims.exact
+        payload = docs.loads(docs.dumps(docs.document("fusionring", docs.ring_payload(ring))))["payload"]
+        assert payload["dims"] == list(dims.dims)
+        assert rings.fp_dims(docs.ring_from_payload(payload)) == dims
+        del payload["dims"]
+        with pytest.raises(AssertionError, match="eigenvector search"):
+            rings.fp_dims(docs.ring_from_payload(payload))

@@ -232,13 +232,6 @@ def test_double_determinism():
     assert a.S == b.S and a.T == b.T and a.dims == b.dims
 
 
-def test_twisted_doubles_rejected():
-    import pytest
-
-    with pytest.raises(ValueError):
-        double_modular_data(symmetric_group(3), twist="w")
-
-
 # -- the certified modular Verlinde kernel against independent checks
 
 
