@@ -25,6 +25,7 @@ from .equivalence import find_equivalence
 from .errors import (
     ClosureTooLarge,
     ConductorTooLarge,
+    DegreeTooLarge,
     NotAutomorphism,
     NotExactFactorization,
     SearchBudgetExceeded,
@@ -306,7 +307,7 @@ def main(argv=None):
     command = "fusionrings " + " ".join(argv)
     try:
         return args.fn(args, command)
-    except (SearchBudgetExceeded, ClosureTooLarge, TooManyClasses, TooManyLabels) as exc:
+    except (SearchBudgetExceeded, ClosureTooLarge, DegreeTooLarge, TooManyClasses, TooManyLabels) as exc:
         print(f"error: budget: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, ConductorTooLarge, NotExactFactorization, NotAutomorphism) as exc:

@@ -226,15 +226,28 @@ _ABOVE = 2**20  # the primes of _moduli: residue products summed 2**12 times sta
 
 @lru_cache(maxsize=None)
 def _embedding(m, q, w):
-    """(E, E^-1 mod q), read-only: E[a, e] = w^(a k_e) is zeta_m^a at the
-    embedding zeta_m -> w^(k_e) into F_q, for w of order m and the units
-    k_e < m ascending, so that embedding phi(m) - 1 - e is the conjugate of
-    e.  Coordinates times E are images; E is a Vandermonde matrix on
-    distinct roots, so the images determine the coordinates mod q."""
+    """(E, E^-1 mod q), read-only: E[a, e] = x_e^a is zeta_m^a at the
+    embedding zeta_m -> x_e = w^(k_e) into F_q, for w of order m and the
+    units k_e < m ascending, so that embedding phi(m) - 1 - e is the
+    conjugate of e.  Coordinates times E are images; E is a Vandermonde
+    matrix on the distinct roots x_e of Phi_m, so the images determine the
+    coordinates mod q.  Row e of E^-1 holds the coordinates of the Lagrange
+    polynomial Phi_m(X) / ((X - x_e) Phi_m'(x_e)), which is 1 at x_e and 0
+    at the other roots; the quotients come by synthetic division at every
+    root at once."""
     units = [k for k in range(m) if gcd(k, m) == 1]
+    phi = len(units)
     dt = np.int64 if q * q < 2**63 else object
-    E = np.array([[pow(w, a * k, q) for k in units] for a in range(len(units))], dtype=dt)
-    inverse = _echelon(np.concatenate([E, np.eye(len(units), dtype=dt)], axis=1), q)[0][:, len(units):]
+    x = np.array([pow(w, k, q) for k in units], dtype=dt)
+    poly = np.array(_cyclotomic_poly(m), dtype=object) % q
+    E = np.ones((phi, phi), dtype=dt)
+    quotients = np.ones((phi, phi), dtype=dt)  # [i, e]: X^i coefficient of Phi_m(X) / (X - x_e)
+    for a in range(1, phi):
+        E[a] = E[a - 1] * x % q
+        quotients[phi - 1 - a] = (quotients[phi - a] * x + poly[phi - a]) % q
+    derivative = (poly[1:] * np.arange(1, phi + 1)).astype(dt) % q  # Phi_m' coefficients
+    scale = [pow(int(v), -1, q) for v in _mulmod(derivative[None], E, q)[0]]
+    inverse = quotients.T * np.array(scale, dtype=dt)[:, None] % q
     for a in (E, inverse):
         a.setflags(write=False)
     return E, inverse

@@ -9,6 +9,10 @@ class ClosureTooLarge(WorkbenchError):
     """Group closure exceeded the configured element cap."""
 
 
+class DegreeTooLarge(WorkbenchError):
+    """A permutation degree exceeded the bound on the points a group acts on."""
+
+
 class TooManyClasses(WorkbenchError):
     """A character table was asked for more classes than its work bound."""
 

@@ -2,9 +2,10 @@
 
 Every group is materialized once as index data: its elements are numbered
 in lexicographic order of their image tuples (the identity is 0), and all
-group algorithms (``tables``) run on those indices.  ``Permutation`` objects
-appear only at the text boundary: parsing, cycle strings, labels and the
-elements that methods take or return.
+group algorithms (``tables``) run on those indices.  An image tuple is found
+by one binary search of its integer key (``_row_keys``) in the group's
+sorted key array.  ``Permutation`` objects appear only at the text boundary:
+parsing, cycle strings, labels and the elements that methods take or return.
 
 Composition convention, fixed globally: permutations act on the right,
 ``(f * g)(x) == g(f(x))``.
@@ -15,13 +16,26 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import tables
-from .errors import ClosureTooLarge
+from .errors import ClosureTooLarge, DegreeTooLarge
 
 DEFAULT_CLOSURE_CAP = 10_000
+MAX_DEGREE = 10_000  # a cap-sized (10,000 x 10,000) int64 image array stays under 800 MB
+
+_CYCLE = re.compile(r"\(([^()]*)\)")
+
+
+def _check_degree(degree):
+    """Refuse a negative degree, or one above MAX_DEGREE, before anything of
+    that size is allocated."""
+    if degree < 0:
+        raise ValueError(f"negative degree {degree}")
+    if degree > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {degree} exceeds bound {MAX_DEGREE}")
 
 
 class Permutation:
@@ -58,13 +72,21 @@ class Permutation:
 
     @classmethod
     def parse(cls, text, degree):
-        """Parse 1-based cycle notation like ``"(1 2 3)(4 5)"`` or ``"()"``."""
+        """Parse 1-based cycle notation: ``""``, ``"()"``, ``"e"`` or
+        parenthesized cycles like ``"(1 2 3)(4 5)"``, whose points are
+        separated by whitespace or commas.  Anything else raises ValueError."""
+        _check_degree(degree)
         text = text.strip()
-        if text in ("", "()", "e"):
+        if text == "e":
             return cls.identity(degree)
+        if _CYCLE.sub("", text).strip():
+            raise ValueError(f"not cycle notation: {text!r}")
         cycles = []
-        for part in re.findall(r"\(([^()]*)\)", text):
-            pts = [int(tok) - 1 for tok in re.split(r"[,\s]+", part.strip()) if tok]
+        for part in _CYCLE.findall(text):
+            tokens = part.replace(",", " ").split()
+            if not all(tok.isdigit() for tok in tokens):
+                raise ValueError(f"not cycle notation: {text!r}")
+            pts = [int(tok) - 1 for tok in tokens]
             if not pts:
                 continue
             if any(p < 0 or p >= degree for p in pts):
@@ -136,6 +158,7 @@ class Permutation:
 
 def _rows(degree, perms):
     """Image tuples of ``perms`` as a (len(perms) x degree) int array."""
+    _check_degree(degree)
     perms = tuple(perms)
     for g in perms:
         if g.degree != degree:
@@ -143,24 +166,30 @@ def _rows(degree, perms):
     return np.array([g.images for g in perms], dtype=np.intp).reshape(len(perms), degree)
 
 
-def _keys(rows):
-    """One bytes key per image row: the lookup key of an element."""
-    rows = np.ascontiguousarray(rows, dtype=np.intp)
-    count, width = int(np.prod(rows.shape[:-1])), rows.shape[-1]
-    if not width:  # degree 0: every row is the empty image tuple
-        return [b""] * count
-    as_bytes = np.dtype((np.void, width * rows.itemsize))
-    return rows.reshape(count, width).view(as_bytes).ravel().tolist()
+_INT64_DEGREE = 15  # 15**15 < 2**63 <= 16**16: keys of degree <= 15 fit int64
 
 
-def _lex_order(rows):
-    """The permutation that sorts distinct image rows lexicographically."""
-    return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+def _row_keys(rows):
+    """One integer key per image row (last axis), as an array of the leading
+    shape.  A key reads the row as a base-``degree`` numeral, most
+    significant point first, so key order is lexicographic row order.  Keys
+    are int64 up to degree ``_INT64_DEGREE``; past it they are exact Python
+    ints read off the row's big-endian fixed-width digits."""
+    rows = np.asarray(rows, dtype=np.intp)
+    degree = rows.shape[-1]
+    if degree <= _INT64_DEGREE:
+        return rows @ degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)
+    digits = np.ascontiguousarray(rows, dtype=">u1" if degree <= 256 else ">u2")
+    as_bytes = np.dtype((np.void, degree * digits.itemsize))
+    raw = digits.reshape(-1, degree).view(as_bytes).ravel().tolist()
+    keys = np.fromiter(map(int.from_bytes, raw, repeat("big")), dtype=object, count=len(raw))
+    return keys.reshape(rows.shape[:-1])
 
 
 def _close(gen_rows, cap):
     """The group generated by ``gen_rows``: its image rows in lexicographic
-    order, and for each generator s the index map x -> x*s as one row.
+    order, their keys, and for each generator s the index map x -> x*s as
+    one row.
 
     The elements are found breadth-first by right multiplication (x*s has
     images s[x]).  Each product row's provisional id is its position in the
@@ -168,13 +197,15 @@ def _close(gen_rows, cap):
     first, so the products of each layer are the maps x -> x*s on it."""
     count, degree = gen_rows.shape
     frontier = np.arange(degree, dtype=np.intp)[None]
-    seen = dict.fromkeys(_keys(frontier), 0)
-    found, ids, made = [frontier], [np.zeros(1, dtype=np.intp)], []
+    frontier_keys = _row_keys(frontier)
+    seen = dict.fromkeys(frontier_keys.tolist(), 0)
+    found, keys, ids, made = [frontier], [frontier_keys], [np.zeros(1, dtype=np.intp)], []
     made_count = 1
     while len(frontier):
         products = gen_rows[:, frontier].reshape(count * len(frontier), degree)
+        product_keys = _row_keys(products)
         span = range(made_count, made_count + len(products))
-        got = np.fromiter(map(seen.setdefault, _keys(products), span), np.intp, len(products))
+        got = np.fromiter(map(seen.setdefault, product_keys.tolist(), span), np.intp, len(products))
         if len(seen) > cap:
             raise ClosureTooLarge(
                 f"closure exceeds cap {cap}: reached {len(seen)} elements from {count} generators"
@@ -185,11 +216,12 @@ def _close(gen_rows, cap):
         made_count = span.stop
         frontier = products[fresh]
         found.append(frontier)
-    rows = np.concatenate(found)
-    order = _lex_order(rows)
+        keys.append(product_keys[fresh])
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
     rank = np.empty(made_count, dtype=np.intp)  # provisional id -> sorted index
-    rank[np.concatenate(ids)[order]] = np.arange(len(rows))
-    return rows[order], rank[np.concatenate(made, axis=1)[:, order]]
+    rank[np.concatenate(ids)[order]] = np.arange(len(keys))
+    return np.concatenate(found)[order], keys[order], rank[np.concatenate(made, axis=1)[:, order]]
 
 
 class PermGroup:
@@ -198,22 +230,23 @@ class PermGroup:
     ``images`` is the (order x degree) int array of element image tuples in
     lexicographic order, so index order is element order and the identity
     is 0.  ``inv``, ``gens``, ``rmul`` and ``mul`` are the index data that
-    ``tables`` reads; ``mul`` composes image rows and looks the products up
-    by their bytes, so no Cayley table is ever stored.
+    ``tables`` reads; ``mul`` composes image rows and finds the products by
+    a binary search of their integer keys in the sorted key array, so no
+    Cayley table is ever stored.
     """
 
-    __slots__ = ("degree", "images", "inv", "gens", "rmul", "_lookup", "_elements", "_classes")
+    __slots__ = ("degree", "images", "inv", "gens", "rmul", "_keys", "_elements", "_classes")
 
     unit = 0
 
-    def __init__(self, degree, images, gens=None, inv=None, rmul=None):
+    def __init__(self, degree, images, gens=None, inv=None, rmul=None, keys=None):
         """Index data of the group on the sorted, distinct image rows
         ``images``, generated by the indices ``gens`` (default: a small
-        generating set).  ``inv`` and ``rmul``, where the caller has them
-        already, are taken as given."""
+        generating set).  ``inv``, ``rmul`` and the rows' ``keys``, where the
+        caller has them already, are taken as given."""
         self.degree = degree
         self.images = images
-        self._lookup = dict(zip(_keys(images), range(len(images))))
+        self._keys = _row_keys(images) if keys is None else keys
         self._elements = self._classes = None
         self.inv = self.index_rows(np.argsort(images, axis=1)) if inv is None else inv
         if gens is None:
@@ -226,15 +259,17 @@ class PermGroup:
 
     @classmethod
     def from_generators(cls, degree, gens, cap=DEFAULT_CLOSURE_CAP):
-        images, rmul = _close(_rows(degree, gens), cap)
+        images, keys, rmul = _close(_rows(degree, gens), cap)
         # each generator s is the image of the identity under x -> x*s
-        return cls(degree, images, rmul[:, cls.unit].tolist(), rmul=rmul)
+        return cls(degree, images, rmul[:, cls.unit].tolist(), rmul=rmul, keys=keys)
 
     @classmethod
     def from_elements(cls, degree, elements):
         """Wrap an already-closed set of distinct elements (trusted)."""
         rows = _rows(degree, elements)
-        return cls(degree, rows[_lex_order(rows)])
+        keys = _row_keys(rows)
+        order = np.argsort(keys)
+        return cls(degree, rows[order], keys=keys[order])
 
     def _sub(self, members, gens=None):
         """The subgroup on the sorted indices ``members``, generated by the
@@ -245,6 +280,7 @@ class PermGroup:
             self.images[members],
             None if gens is None else np.searchsorted(members, gens).tolist(),
             inv=np.searchsorted(members, self.inv[members]),
+            keys=self._keys[members],
         )
 
     def mul(self, a, b):
@@ -252,10 +288,16 @@ class PermGroup:
         return self.index_rows(self.images[np.asarray(b)[..., None], self.images[a]])
 
     def index_rows(self, rows):
-        """Indices of the elements with the image tuples ``rows`` (last axis)."""
-        rows = np.asarray(rows)
-        found = list(map(self._lookup.__getitem__, _keys(rows)))
-        return np.array(found, dtype=np.intp).reshape(rows.shape[:-1])
+        """Indices of the elements with the image tuples ``rows`` (last
+        axis); KeyError if a row is not an element of this group."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.shape[-1:] != (self.degree,):
+            raise KeyError(f"rows of shape {rows.shape} in a group of degree {self.degree}")
+        keys = _row_keys(rows)
+        found = np.minimum(np.searchsorted(self._keys, keys), self.order - 1)
+        if not np.all(self._keys[found] == keys):
+            raise KeyError("a row is not an element of the group")
+        return found
 
     @property
     def order(self):
@@ -292,7 +334,7 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
     def index_of(self, g):
-        return self._lookup[_keys(np.asarray(g.images))[0]]
+        return int(self.index_rows(g.images))
 
     def is_abelian(self):
         return tables.is_abelian(self)

@@ -3,13 +3,19 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
 from fusionrings.cyclo import (
+    _ABOVE,
     MAX_CONDUCTOR,
     Cyclotomic,
+    _echelon,
+    _embedding,
     _monomial_reduction,
+    _split_prime,
     from_document,
     root_of_unity,
     to_document,
@@ -204,3 +210,20 @@ def test_document_conductor_bound_is_checked_before_any_table():
     with pytest.raises(ConductorTooLarge, match=f"conductor {MAX_CONDUCTOR + 1} exceeds the bound of {MAX_CONDUCTOR}"):
         from_document({"conductor": MAX_CONDUCTOR + 1, "coeffs": [[1, "1/1"]]})
     assert _monomial_reduction.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 12, 15, 20, 105, 420])
+def test_closed_form_embedding_inverse_matches_gauss_jordan(m):
+    """E and E^-1 equal the powers of the roots and the Gauss-Jordan inverse
+    of E, at the first two split primes above 2**20 and at one above 2**32,
+    where products of residues need Python ints."""
+    units = [k for k in range(m) if gcd(k, m) == 1]
+    for above, k in ((_ABOVE, 0), (_ABOVE, 1), (2**32, 0)):
+        q, w = _split_prime(m, above, k)
+        E, inverse = _embedding(m, q, w)
+        dt = np.int64 if q * q < 2**63 else object
+        oracle = np.array([[pow(w, a * k, q) for k in units] for a in range(len(units))], dtype=dt)
+        eye = np.eye(len(units), dtype=dt)
+        assert E.dtype == inverse.dtype == dt
+        assert np.array_equal(E, oracle)
+        assert np.array_equal(inverse, _echelon(np.concatenate([oracle, eye], axis=1), q)[0][:, len(units):])

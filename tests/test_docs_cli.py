@@ -15,7 +15,7 @@ from fusionrings.chartab import MAX_CLASSES, character_table, rep_g_fusion_ring
 from fusionrings.cli import main, parse_group_spec
 from fusionrings.cyclo import MAX_CONDUCTOR
 from fusionrings.doubles import MAX_LABELS, double_modular_data
-from fusionrings.perms import Permutation, symmetric_group
+from fusionrings.perms import MAX_DEGREE, Permutation, symmetric_group
 
 
 def run_cli(args, stdin=None, capsys=None):
@@ -448,6 +448,54 @@ def test_cli_malformed_pair_documents_are_usage_errors(tmp_path, breaker):
     bad.write_text(docs.dumps(doc))
     for flags in ([], ["--ring"], ["--dual-invertibles"]):
         assert run_cli(["bicross", str(bad), *flags])[0] == 2
+
+
+MALFORMED_CYCLES = ["(1 2", "1 2)", "(1 2) junk", "(1 2)x(3 4)", "(1 2)(3 4"]
+
+
+@pytest.mark.parametrize("cycles", MALFORMED_CYCLES)
+def test_cli_malformed_cycles_are_usage_errors(tmp_path, capsys, cycles):
+    code, out = run_cli(["group", f"custom:5:(1 2 3 4 5)|{cycles}"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: usage: not cycle notation: {cycles!r}\n"
+    _, text = run_cli(["pair", "A5", "C5", "A4"])
+    for where in ("f_generators", "gamma_generators", "ambient"):
+        doc = docs.loads(text)
+        generators = doc["payload"]["ambient"]["generators"] if where == "ambient" else doc["payload"][where]
+        generators.append(cycles)
+        bad = tmp_path / "bad.json"
+        bad.write_text(docs.dumps(doc))
+        assert run_cli(["bicross", str(bad)]) == (2, "")
+        assert f"not cycle notation: {cycles!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["custom:99999999999:(1 2)", "custom:99999999999:", f"custom:{MAX_DEGREE + 1}:"])
+def test_cli_degree_above_the_bound_is_refused(capsys, spec):
+    degree = spec.split(":")[1]
+    assert run_cli(["group", spec]) == (3, "")
+    assert capsys.readouterr().err == f"error: budget: degree {degree} exceeds bound {MAX_DEGREE}\n"
+
+
+@pytest.mark.parametrize("spec", ["custom:-1:", "custom:-1:(1 2)"])
+def test_cli_negative_degree_is_a_usage_error(capsys, spec):
+    assert run_cli(["group", spec]) == (2, "")
+    assert capsys.readouterr().err == "error: usage: negative degree -1\n"
+
+
+def test_cli_documents_with_a_degree_above_the_bound_are_refused(tmp_path, capsys):
+    _, pair_text = run_cli(["pair", "A5", "C5", "A4"])
+    _, double_text = run_cli(["double", "S3"])
+    pair, with_group, from_labels = docs.loads(pair_text), docs.loads(double_text), docs.loads(double_text)
+    for doc in (pair, with_group):
+        group = doc["payload"]["ambient" if doc is pair else "group"]
+        group["degree"] = 99_999_999_999
+    from_labels["payload"]["group"] = None
+    from_labels["payload"]["labels"][-1][0] = "(1 99999999999)"
+    for doc, command in ((pair, "bicross"), (with_group, "verlinde"), (from_labels, "verlinde")):
+        path = tmp_path / "big.json"
+        path.write_text(docs.dumps(doc))
+        assert run_cli([command, str(path)]) == (3, "")
+        assert capsys.readouterr().err == f"error: budget: degree 99999999999 exceeds bound {MAX_DEGREE}\n"
 
 
 @pytest.mark.parametrize("text", ["[1,2]", '"x"', "3", "null"])

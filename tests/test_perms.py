@@ -1,16 +1,21 @@
 """Permutation-group machinery against brute-force oracles."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from fusionrings import tables
-from fusionrings.errors import ClosureTooLarge
+from fusionrings.errors import ClosureTooLarge, DegreeTooLarge
 from fusionrings.perms import (
+    MAX_DEGREE,
     GroupAction,
     Permutation,
     PermGroup,
     alternating_group,
     cyclic_group,
     dihedral_group,
+    _row_keys,
     structure_invariants,
     symmetric_group,
 )
@@ -75,6 +80,9 @@ def test_group_from_generators_a5_matches_brute_force():
         (20, [Permutation.from_cycles(20, [tuple(range(20))])]),  # C20
         (20, [Permutation.from_cycles(20, [(2 * i, 2 * i + 1)]) for i in range(5)]),  # C2^5
         (120, [Permutation.from_cycles(120, [tuple(range(120))])]),  # C120
+        # D15 and D16 with the reversal, the largest row, on each side of int64 keys
+        (15, [Permutation.from_cycles(15, [tuple(range(15))]), Permutation(range(14, -1, -1))]),
+        (16, [Permutation.from_cycles(16, [tuple(range(16))]), Permutation(range(15, -1, -1))]),
     ],
 )
 def test_closure_matches_brute_force_at_every_degree(degree, gens):
@@ -82,6 +90,80 @@ def test_closure_matches_brute_force_at_every_degree(degree, gens):
     oracle = brute_closure(degree, [p.images for p in gens])
     assert [tuple(row) for row in g.images.tolist()] == sorted(oracle)
     assert g.gens == tuple(sorted(oracle).index(p.images) for p in gens)
+
+
+@pytest.mark.parametrize("degree", [15, 20, 300])
+def test_key_order_is_lexicographic_order(degree):
+    rng = np.random.default_rng(degree)
+    rows = rng.integers(0, degree, size=(2000, degree))
+    rows[1000:, : degree // 2] = rows[:1000, : degree // 2]  # long shared prefixes
+    keys = _row_keys(rows)
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(rows.T[::-1]))
+
+
+@pytest.mark.parametrize(
+    "group, outsider",
+    [
+        (alternating_group(5), "(1 2)"),
+        (cyclic_group(5), "(1 5)(2 4)"),  # above every element
+        (cyclic_group(16), "(1 2)"),
+        (cyclic_group(16), "(1 16)(2 15)(3 14)(4 13)(5 12)(6 11)(7 10)(8 9)"),  # above every element
+    ],
+)
+def test_lookups_refuse_non_members_and_other_degrees(group, outsider):
+    n = group.degree
+    g = Permutation.parse(outsider, n)
+    with pytest.raises(KeyError):
+        group.index_of(g)
+    with pytest.raises(KeyError):
+        group.index_rows([group.images[0], g.images])
+    for other in (Permutation.identity(n - 1), Permutation.identity(n + 1)):
+        with pytest.raises(KeyError):
+            group.index_of(other)
+        with pytest.raises(KeyError):
+            group.index_rows([other.images])
+    assert group.index_rows(group.images[::-1]).tolist() == list(range(group.order))[::-1]
+
+
+def test_symmetric_group_7_index_stays_small():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = symmetric_group(7)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert group.order == 5040 and retained < 600_000
+
+
+@pytest.mark.parametrize(
+    "text, images",
+    [
+        ("", (0, 1, 2, 3)),
+        ("()", (0, 1, 2, 3)),
+        ("e", (0, 1, 2, 3)),
+        ("(1 2)(3 4)", (1, 0, 3, 2)),
+        (" (1,2) ( 3 , 4 ) ", (1, 0, 3, 2)),
+        ("(1 2 3)()", (1, 2, 0, 3)),
+    ],
+)
+def test_parse_accepts_cycle_notation(text, images):
+    assert Permutation.parse(text, 4).images == images
+
+
+@pytest.mark.parametrize("text", ["(1 2", "1 2)", "(1 2) junk", "(1 2)x(3 4)", "(1 2)(3 4", "((1 2))", "(1 -2)", "x"])
+def test_parse_refuses_anything_else(text):
+    with pytest.raises(ValueError, match="not cycle notation"):
+        Permutation.parse(text, 4)
+
+
+def test_degree_is_bounded_before_anything_is_allocated():
+    for build in (lambda d: Permutation.parse("(1 2)", d), lambda d: PermGroup.from_generators(d, [])):
+        with pytest.raises(ValueError, match="negative degree -1"):
+            build(-1)
+        with pytest.raises(DegreeTooLarge, match=f"^degree 99999999999 exceeds bound {MAX_DEGREE}$"):
+            build(99_999_999_999)
+    assert PermGroup.from_generators(MAX_DEGREE, [Permutation.parse("(1 2)", MAX_DEGREE)]).order == 2
 
 
 def test_closure_cap():
