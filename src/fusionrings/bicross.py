@@ -9,9 +9,11 @@ basis {e_t # y}, products of characters follow the comultiplication sum over
 factorizations g*h = t in Gamma, where only the h on the F-orbit of the
 right-hand character contribute, against the simples on the orbit of g.
 Fusion multiplicities are solved and certified by the decomposition kernel
-of ``rings`` at n pivot columns (t, y), from the characters' images at each
-prime: the first columns at which their echelon form over F_p shows them
-independent, which proves them independent over Q(zeta_m).
+of ``rings`` at the n cells (t, y) the orbits name: for each simple, its
+orbit representative s and a representative y of its stabilizer class.
+There chi_i(e_s # y) is the stabilizer character value for i on the orbit
+of s and 0 off it, so the characters at these cells are block diagonal,
+one stabilizer character table per orbit, and invertible by orthogonality.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ import numpy as np
 
 from . import rings, tables
 from .chartab import character_table
-from .cyclo import _echelon, _embeddings, _evaluate, _lift, _phi, _product_bound, _top
+from .cyclo import _embeddings, _evaluate, _lift, _phi, _product_bound, _top
 from .errors import (
     GroupLawFailure,
     NonIntegralMultiplicity,
     NotAutomorphism,
     NotExactFactorization,
-    SingularCharacterSystem,
 )
 from .perms import GroupAction, PermGroup
 
@@ -204,7 +205,7 @@ def split_type(mp):
 
 def split_fusion_ring(mp):
     """The based ring of Rep(k^Gamma # kF), split, decomposed and certified
-    by ``rings``' kernel at the pivot columns."""
+    by ``rings``' kernel at the cells the orbits name."""
     irreps = split_irreps(mp)
     dims = tuple(w.dim for w in irreps)
     tensor = rings._decompose(*_split_system(mp, irreps), dims)
@@ -214,12 +215,16 @@ def split_fusion_ring(mp):
 
 def _split_system(mp, irreps):
     """(system, m, bound) for ``rings._decompose``: the simple characters
-    X[z][k] and their products P[x][y][k] at n pivot columns (t_k, y_k), m
-    the lcm of the stabilizer character conductors.  P is made from the
-    characters' images at each embedding, never in coordinates."""
+    X[z][k] and their products P[x][y][k] at the n cells (t_k, y_k), t_k the
+    orbit representative of simple k and y_k the representative of its
+    stabilizer class stab_row, m the lcm of the stabilizer character
+    conductors.  X is block diagonal, one stabilizer character table per
+    orbit.  P is made from the characters' images at each embedding, never
+    in coordinates."""
     m, chi = _characters(mp, irreps)
     n, n_gamma, n_f, phi = chi.shape
-    t, y = np.divmod(_pivot_cells(chi, m, [w.dim for w in irreps]), n_f)
+    t = mp.gamma.index_rows([w.orbit_rep.images for w in irreps])
+    y = mp.f.index_rows([w.stab_table.classes[w.stab_row][0].images for w in irreps])
     # A[k, i, h] = chi_i(e_{t_k h^-1} # (h |> y_k)); B[k, j, h] = chi_j(e_h # y_k)
     g = mp.gamma.mul(t[:, None], mp.gamma.inv[None, :])
     y2 = mp.rtab[:, y].T
@@ -274,34 +279,6 @@ def _characters(mp, irreps):
         codes, classes = stabilizers[w.stabilizer]
         chi[i, weights[w.orbit_rep]] = codes[np.append(table.index[w.stab_row], -1)[classes]]
     return m, chi
-
-
-def _pivot_cells(chi, m, dims):
-    """The n cells t * |F| + y, first in row-major order, at which the n
-    simple characters chi (n, Gamma, F, phi(m)) are independent over
-    Q(zeta_m): the pivot columns of their echelon form over F_p, under
-    zeta_m -> w, at the primes p = 1 (mod m) above 2 max(d)^2.
-
-    Rank n mod p proves the pivot columns independent, since a minor that is
-    nonzero mod p is nonzero.  Characters independent over Q(zeta_m) have a
-    nonzero n x n minor D, and every prime at which their rank drops divides
-    its norm, of absolute value at most prod_i (sqrt(n) d_i)^phi(m) (the
-    values of simple i are at most d_i in absolute value); once the primes
-    tried multiply past that bound the characters are dependent.
-    """
-    n, phi = len(chi), chi.shape[-1]
-    flat = chi.reshape(n, -1, phi)
-    cells = np.flatnonzero(flat.any(axis=(0, 2)))  # a zero column is never a pivot
-    flat = flat[:, cells]
-    bound_sq = (n**n * math.prod(d * d for d in dims)) ** phi
-    failed, rank = 1, 0
-    for p, E, _ in _embeddings(m, 2 * max(d * d for d in dims)):
-        pivots = _echelon(_evaluate(flat, p, E[:, 0]), p)[1]
-        if len(pivots) == n:
-            return cells[pivots]
-        failed, rank = failed * p, max(rank, len(pivots))
-        if failed * failed > bound_sq:
-            raise SingularCharacterSystem(f"only {rank} independent character columns")
 
 
 def dual_invertibles(mp):

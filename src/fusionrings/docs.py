@@ -82,11 +82,10 @@ def _check_group_payload(payload):
     if not (
         isinstance(payload, dict)
         and type(payload.get("degree")) is int
-        and payload["degree"] >= 1
         and type(payload.get("order")) is int
         and _is_string_list(payload.get("generators"))
     ):
-        raise ValueError("a group payload needs an int degree >= 1, an int order and generator strings")
+        raise ValueError("a group payload needs an int degree, an int order and generator strings")
 
 
 def _is_string_list(value):

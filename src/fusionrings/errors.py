@@ -38,7 +38,9 @@ class NonIntegralMultiplicity(WorkbenchError):
 
 
 class SingularCharacterSystem(WorkbenchError):
-    """Simple characters turned out linearly dependent (bug signal)."""
+    """The decomposition kernel's character matrix X is singular: the primes
+    at which it failed to invert multiply past the bound on the norm of a
+    nonzero det X (bug signal)."""
 
 
 class AxiomViolation(WorkbenchError):

@@ -186,10 +186,10 @@ def _row_keys(rows):
     return keys.reshape(rows.shape[:-1])
 
 
-def _close(gen_rows, cap):
+def _close(gen_rows):
     """The group generated by ``gen_rows``: its image rows in lexicographic
     order, their keys, and for each generator s the index map x -> x*s as
-    one row.
+    one row; ClosureTooLarge past DEFAULT_CLOSURE_CAP elements.
 
     The elements are found breadth-first by right multiplication (x*s has
     images s[x]).  Each product row's provisional id is its position in the
@@ -206,9 +206,9 @@ def _close(gen_rows, cap):
         product_keys = _row_keys(products)
         span = range(made_count, made_count + len(products))
         got = np.fromiter(map(seen.setdefault, product_keys.tolist(), span), np.intp, len(products))
-        if len(seen) > cap:
+        if len(seen) > DEFAULT_CLOSURE_CAP:
             raise ClosureTooLarge(
-                f"closure exceeds cap {cap}: reached {len(seen)} elements from {count} generators"
+                f"closure exceeds cap {DEFAULT_CLOSURE_CAP}: reached {len(seen)} elements from {count} generators"
             )
         fresh = np.flatnonzero(got == np.arange(span.start, span.stop))
         made.append(got.reshape(count, len(frontier)))
@@ -258,8 +258,8 @@ class PermGroup:
         self.rmul = tuple(rmul)
 
     @classmethod
-    def from_generators(cls, degree, gens, cap=DEFAULT_CLOSURE_CAP):
-        images, keys, rmul = _close(_rows(degree, gens), cap)
+    def from_generators(cls, degree, gens):
+        images, keys, rmul = _close(_rows(degree, gens))
         # each generator s is the image of the identity under x -> x*s
         return cls(degree, images, rmul[:, cls.unit].tolist(), rmul=rmul, keys=keys)
 

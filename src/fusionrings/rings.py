@@ -18,7 +18,9 @@ of characters x and y there.  The caller gives the images of X and P at the
 embeddings of Z[zeta_m] into F_q, one prime q at a time, so P is a product
 of images, never of coordinates.  ``_decompose`` solves at the first prime
 where X is invertible and lifts the symmetric residues, since
-multiplicities lie in [0, max(d)^2]; ``_certify_decomposition`` checks
+multiplicities lie in [0, max(d)^2]; it raises SingularCharacterSystem once
+the primes where X failed to invert pass a bound on the norm of a nonzero
+det X, so the search ends for every caller.  ``_certify_decomposition`` checks
 N >= 0 and the equation at that prime and the next ones, until a bound on
 the coordinates of any difference makes the check exact.
 
@@ -39,6 +41,7 @@ from . import tables
 from .cyclo import _ABOVE, _echelon, _embeddings, _evaluate, _exact_dtype, _mulmod, _prime_divisors
 from .cyclo import _product_bound, _top
 from .errors import AxiomViolation, GradingInconsistent, NoPositiveEigenvector, NonIntegralMultiplicity
+from .errors import SingularCharacterSystem
 
 
 class FusionRing:
@@ -214,14 +217,23 @@ def _decompose(system, m, bound, dims):
     system(q, E) = (images of X (n, n, phi(m)), x -> images of P[x]) at the
     embeddings E (``cyclo._embedding``).  N is the symmetric lift of the
     solution at the first prime above 2 max(d)^2 and 2**20 where X is
-    invertible under zeta_m -> w; such a prime exists because each caller
-    builds an X invertible over Q(zeta_m), and finding it proves that."""
+    invertible under zeta_m -> w, which proves X invertible over Q(zeta_m).
+
+    Every prime at which det X vanishes divides its norm, at most
+    (n (phi(m) bx)^2)^(n phi(m) / 2) by Hadamard's bound, bx = bound[0]; once
+    the primes that failed multiply past it, det X is 0 and
+    SingularCharacterSystem is raised."""
     n, above = len(dims), max(_ABOVE, 2 * max(d * d for d in dims))
     images = ((q, *system(q, E)) for q, E, _ in _embeddings(m, above))
+    failed = 1
     for q, X, products in images:
         rows, pivots = _echelon(np.concatenate([X[:, :, 0], np.eye(n, dtype=X.dtype)], axis=1), q)
         if pivots[-1] < n:  # every pivot lies in X
             break
+        failed *= q
+        phi = X.shape[2]
+        if failed * failed > (n * (phi * bound[0]) ** 2) ** (n * phi):
+            raise SingularCharacterSystem(f"the {n} simple characters are dependent at the columns given")
     N = np.stack([_mulmod(products(x)[:, :, 0], rows[:, n:], q) for x in range(n)])
     N = ((N + q // 2) % q - q // 2).astype(np.int64)  # [x, y, z], symmetric residues
     _certify_decomposition(chain([(q, X, products)], images), bound, N)

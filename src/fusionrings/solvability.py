@@ -33,12 +33,10 @@ def _dihedral_order_for(sig, total):
     if total % 2 or total < 6:
         return None
     n = total // 2
-    if n < 3:
-        return None
     if n % 2:
         expect = ((1, 2), (2, (n - 1) // 2))
     else:
-        expect = ((1, 4), (2, (n - 2) // 2)) if n > 2 else ((1, 4),)
+        expect = ((1, 4), (2, (n - 2) // 2))
     return n if sig == expect else None
 
 

@@ -346,6 +346,23 @@ def benchmark_pairs():
     return pairs
 
 
+def named_pairs():
+    """The catalog's K5, J5, B5 and the duals H5, L5."""
+    from fusionrings.catalog import (
+        pair_cyclic_alternating,
+        pair_cyclic_symmetric,
+        pair_transposition_alternating,
+    )
+
+    return {
+        "K5": pair_cyclic_alternating(5),
+        "J5": pair_cyclic_symmetric(5),
+        "B5": pair_transposition_alternating(5),
+        "H5": pair_cyclic_symmetric(5).dual(),
+        "L5": pair_cyclic_alternating(5).dual(),
+    }
+
+
 def dual_invertibles_oracle(mp):
     """(table, name, center order) of the dual invertibles, multiplying the
     one-dimensional characters of F as tuples of exact Cyclotomic values."""
@@ -385,24 +402,11 @@ def test_dual_invertibles_are_the_invertibles_of_the_split_ring():
     """One side is read off F's linear characters, the other off the
     certified fusion ring: order, element orders, name and centre agree."""
     from fusionrings import tables
-    from fusionrings.catalog import (
-        pair_cyclic_alternating,
-        pair_cyclic_symmetric,
-        pair_transposition_alternating,
-    )
-
-    named = {
-        "K5": pair_cyclic_alternating(5),
-        "J5": pair_cyclic_symmetric(5),
-        "B5": pair_transposition_alternating(5),
-        "H5": pair_cyclic_symmetric(5).dual(),
-        "L5": pair_cyclic_alternating(5).dual(),
-    }
 
     def summary(group, name, center_order):
         return group.order, Counter(tables.element_orders(group).tolist()), name, center_order
 
-    for name, mp in [*benchmark_pairs().items(), *named.items()]:
+    for name, mp in [*benchmark_pairs().items(), *named_pairs().items()]:
         di, inv = dual_invertibles(mp), rings.invertibles(split_fusion_ring(mp))
         want = summary(inv.group, inv.name, len(tables.center(inv.group)))
         assert summary(di.group, di.name, di.center_order) == want, name
@@ -443,31 +447,31 @@ def test_split_fusion_ring_does_no_cyclotomic_arithmetic(monkeypatch):
         assert tensor_sha(split_fusion_ring(pairs[name])) == sha, name
 
 
-def test_pivot_cells_move_past_a_rank_deficient_prime():
+def test_split_system_solves_at_the_cells_its_orbits_name():
+    """At cell k = (orbit representative s of simple k, representative of
+    class stab_row of its stabilizer H), chi_i(e_s # y) = rho_i(y) for i on
+    the orbit of s and 0 off it: X is block diagonal with one block per
+    orbit, that orbit's stabilizer character table."""
     import numpy as np
 
-    from fusionrings.bicross import _pivot_cells
-    from fusionrings.cyclo import _split_prime
+    from fusionrings.bicross import _split_system
+    from fusionrings.cyclo import _embeddings, _evaluate, _lift, _phi
 
-    # three rational "characters" of degree 2 on one Gamma element and four
-    # F elements; the first cell is zero, and the other three have
-    # determinant 11, the first prime above 2 * 2^2
-    rows = np.array([[0, 2, -1, 0], [0, 2, 2, 1], [0, 1, 0, 2]])
-    assert round(np.linalg.det(rows[:, 1:])) == 11
-    assert _split_prime(1, 8, 0)[0] == 11
-    chi = rows.reshape(3, 1, 4, 1)
-    assert _pivot_cells(chi, 1, (2, 2, 2)).tolist() == [1, 2, 3]
-
-
-def test_pivot_cells_reject_dependent_characters():
-    import numpy as np
-
-    from fusionrings.bicross import _pivot_cells
-    from fusionrings.errors import SingularCharacterSystem
-
-    chi = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]).reshape(3, 1, 3, 1)
-    with pytest.raises(SingularCharacterSystem, match="only 2 independent character columns"):
-        _pivot_cells(chi, 1, (1, 1, 1))
+    for name, mp in [*benchmark_pairs().items(), *named_pairs().items()]:
+        irreps = split_irreps(mp)
+        system, m, _ = _split_system(mp, irreps)
+        n = len(irreps)
+        want = np.zeros((n, n, _phi(m)), dtype=np.int64)
+        start = 0
+        while start < n:
+            table = irreps[start].stab_table
+            block = slice(start, start + table.num_classes)
+            assert {w.orbit_rep for w in irreps[block]} == {irreps[start].orbit_rep}, name
+            assert [w.stab_row for w in irreps[block]] == list(range(table.num_classes)), name
+            want[block, block] = _lift(table.codes, table.m, m)[table.index]
+            start = block.stop
+        q, E, _ = next(_embeddings(m, 2**20))
+        assert np.array_equal(system(q, E)[0], _evaluate(want, q, E)), name
 
 
 def test_split_irreps_builds_one_table_per_distinct_stabilizer(monkeypatch):

@@ -35,7 +35,6 @@ def double_as_bicross(g):
     ambient = PermGroup.from_generators(
         2 * d,
         [left(x) for x in g.generators] + [right(x) for x in g.generators],
-        cap=g.order**2,
     )
     f = ambient.subgroup([left(x) * right(x) for x in g.generators])
     gamma = ambient.subgroup([right(x) for x in g.generators])

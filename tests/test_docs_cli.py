@@ -129,6 +129,24 @@ def test_cli_b5_pipeline(tmp_path):
     assert docs.loads(out)["payload"]["type"] == [[1, 12], [2, 27]]
 
 
+def test_cli_dependent_characters_are_an_internal_failure(tmp_path, monkeypatch, capsys):
+    from fusionrings import bicross
+
+    characters = bicross._characters
+
+    def dependent(mp, irreps):  # the second simple's characters made equal to the unit's
+        m, chi = characters(mp, irreps)
+        chi[1] = chi[0]
+        return m, chi
+
+    monkeypatch.setattr(bicross, "_characters", dependent)
+    pair_file = tmp_path / "s3.json"
+    pair_file.write_text(run_cli(["pair", "S3", "C3", "C2"])[1])
+    capsys.readouterr()
+    assert run_cli(["bicross", str(pair_file), "--ring"]) == (4, "")
+    assert capsys.readouterr().err == "error: invariant: the 6 simple characters are dependent at the columns given\n"
+
+
 def test_cli_pair_rejects_non_factorization():
     code, _ = run_cli(["pair", "S5", "C2", "S4"])
     assert code == 2
@@ -496,6 +514,26 @@ def test_cli_documents_with_a_degree_above_the_bound_are_refused(tmp_path, capsy
         path.write_text(docs.dumps(doc))
         assert run_cli([command, str(path)]) == (3, "")
         assert capsys.readouterr().err == f"error: budget: degree 99999999999 exceeds bound {MAX_DEGREE}\n"
+
+
+def test_cli_degree_zero_documents_round_trip(tmp_path, capsys):
+    """Degree 0 (the trivial group on no points) is written and read back;
+    a negative degree in a document is a usage error, as on the command line."""
+    path = tmp_path / "zero.json"
+    for make, command, key in (
+        (["double", "custom:0:"], "verlinde", "group"),
+        (["pair", "custom:0:", "custom:0:", "custom:0:"], "bicross", "ambient"),
+    ):
+        code, text = run_cli(make)
+        doc = docs.loads(text)
+        assert code == 0 and doc["payload"][key]["degree"] == 0
+        path.write_text(text)
+        assert run_cli([command, str(path)])[0] == 0
+        doc["payload"][key]["degree"] = -1
+        path.write_text(docs.dumps(doc))
+        capsys.readouterr()
+        assert run_cli([command, str(path)]) == (2, "")
+        assert capsys.readouterr().err == "error: usage: negative degree -1\n"
 
 
 @pytest.mark.parametrize("text", ["[1,2]", '"x"', "3", "null"])

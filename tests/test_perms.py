@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fusionrings import tables
+from fusionrings import perms, tables
 from fusionrings.errors import ClosureTooLarge, DegreeTooLarge
 from fusionrings.perms import (
     MAX_DEGREE,
@@ -166,16 +166,19 @@ def test_degree_is_bounded_before_anything_is_allocated():
     assert PermGroup.from_generators(MAX_DEGREE, [Permutation.parse("(1 2)", MAX_DEGREE)]).order == 2
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setattr(perms, "DEFAULT_CLOSURE_CAP", 100)
     with pytest.raises(ClosureTooLarge):
-        PermGroup.from_generators(6, symmetric_group(6).generators, cap=100)
+        PermGroup.from_generators(6, symmetric_group(6).generators)
 
 
-def test_closure_cap_boundary():
+def test_closure_cap_boundary(monkeypatch):
     gens = symmetric_group(4).generators
-    assert PermGroup.from_generators(4, gens, cap=24).order == 24
+    monkeypatch.setattr(perms, "DEFAULT_CLOSURE_CAP", 24)
+    assert PermGroup.from_generators(4, gens).order == 24
+    monkeypatch.setattr(perms, "DEFAULT_CLOSURE_CAP", 23)
     with pytest.raises(ClosureTooLarge, match=r"^closure exceeds cap 23: reached 24 elements from 2 generators$"):
-        PermGroup.from_generators(4, gens, cap=23)
+        PermGroup.from_generators(4, gens)
 
 
 def test_elements_are_sorted_lexicographically():

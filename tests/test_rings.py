@@ -278,6 +278,27 @@ def test_decomposition_kernel_skips_a_prime_where_x_is_singular():
     assert seen[0][0] > 2**33 and all(dtype == object for _, dtype in seen)
 
 
+def test_decomposition_kernel_rejects_dependent_characters():
+    import numpy as np
+
+    from fusionrings.cyclo import _evaluate
+    from fusionrings.errors import SingularCharacterSystem
+    from fusionrings.rings import _decompose
+
+    # a nonzero det X would have norm at most (3 * 1^2)^(3/2) < 2**20, so
+    # the first prime at which X is singular proves it dependent
+    X = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]).reshape(3, 3, 1)
+    seen = []
+
+    def system(q, E):
+        seen.append(q)
+        return _evaluate(X, q, E), None  # no product is asked for
+
+    with pytest.raises(SingularCharacterSystem, match="the 3 simple characters are dependent"):
+        _decompose(system, 1, (1, 1), (1, 1, 1))
+    assert len(seen) == 1
+
+
 @pytest.mark.parametrize("b", [2363, 2365])
 def test_validate_is_exact_at_the_float32_boundary(b):
     import numpy as np
