@@ -89,11 +89,11 @@ def matched_pair_from_factorization(group, f, gamma):
         raise NotExactFactorization(
             f"|F|*|Gamma| = {f.order * gamma.order} != |G| = {group.order}"
         )
-    common = np.intersect1d(fi, gi)
+    common = np.intersect1d(fi, gi, assume_unique=True)
     if len(common) != 1:
         raise NotExactFactorization(f"F and Gamma intersect in {len(common)} elements")
     xs = group.mul(fi[:, None], gi[None, :])  # x*s, by (F-index, Gamma-index)
-    if len(np.unique(xs)) != group.order:
+    if len(tables._unique(xs)) != group.order:
         raise NotExactFactorization("products F*Gamma do not cover the group")
     f_part = np.empty(group.order, dtype=np.intp)
     g_part = np.empty(group.order, dtype=np.intp)
@@ -241,7 +241,7 @@ def _split_system(mp, irreps):
     def system(q, E):
         images = _evaluate(by_cell, q, E)  # [t, y, i, e], with a zero simple i = n
         products = np.zeros((n, n + 1, n, phi), dtype=images.dtype)  # [k, x, j, e]
-        for length in np.unique(lengths).tolist():  # the j with orbits of one length at once
+        for length in tables._unique(lengths).tolist():  # the j with orbits of one length at once
             js = np.flatnonzero(lengths == length)
             h = np.nonzero(on[js])[1].reshape(len(js), length)  # [j, l]
             s = g[:, h]  # [k, j, l]

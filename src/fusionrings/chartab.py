@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rings
+from . import rings, tables
 from .cyclo import (
     Cyclotomic,
     _distinct_coordinates,
@@ -119,7 +119,7 @@ def character_table(group):
     # DFT over the powers of z_j, batched over the classes of order m
     values, slots = [], {}
     index = np.empty((r, r), dtype=np.intp)  # chi_i(z_j) = values[index[i, j]]
-    for m in np.unique(rep_orders).tolist():
+    for m in tables._unique(rep_orders).tolist():
         cols = (rep_orders == m).nonzero()[0]
         zeta, inv_m = pow(z_e, exponent // m, p), pow(m, p - 2, p)
         roots = np.array([pow(zeta, -e % m, p) * inv_m % p for e in range(m)])

@@ -77,7 +77,8 @@ class NotAutomorphism(WorkbenchError):
 
 
 class InvariantFailure(WorkbenchError):
-    """A modular-data invariant failed; carries the invariant name."""
+    """A certified invariant failed (of modular data, or of a catalog entry's
+    stored FPdim and type); carries the invariant name."""
 
     def __init__(self, name, detail=""):
         self.name = name

@@ -432,7 +432,7 @@ class GroupAction:
             if not unseen[i]:
                 continue
             images = self.table[:, i]
-            members = np.unique(images)
+            members = tables._unique(images)
             unseen[members] = False
             fixers = np.flatnonzero(images == i)
             key = fixers.tobytes()

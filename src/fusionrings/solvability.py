@@ -8,6 +8,7 @@ each entry carries the mathematical fact the rule rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import rings, tables
 from .chartab import character_table, rep_g_fusion_ring
@@ -38,6 +39,12 @@ def _dihedral_order_for(sig, total):
     else:
         expect = ((1, 4), (2, (n - 2) // 2))
     return n if sig == expect else None
+
+
+@lru_cache(maxsize=None)
+def _dihedral_reference(n):
+    """Rep(D_n), the ring R4 compares against, built once per n."""
+    return rep_g_fusion_ring(character_table(dihedral_group(n)))
 
 
 def solvability_verdict(ring):
@@ -81,18 +88,17 @@ def solvability_verdict(ring):
         )
     skip("R3", "ring is not cyclically nilpotent")
 
-    # R4: dihedral fusion rules
+    # R4: dihedral fusion rules; the type and FPdim name the one n whose
+    # Rep(D_n) is searched, a reference kept across verdicts
     sig = rings.type_signature(ring) if dims.exact else None
     n_dihedral = _dihedral_order_for(sig, dims.total) if sig is not None else None
-    if n_dihedral is not None:
-        target = rep_g_fusion_ring(character_table(dihedral_group(n_dihedral)))
-        if find_equivalence(ring, target) is not None:
-            return fire(
-                "R4",
-                f"fusion rules match the representations of the dihedral group of order {2 * n_dihedral}",
-                "a fusion category with dihedral fusion rules is solvable",
-                SOLVABLE,
-            )
+    if n_dihedral is not None and find_equivalence(ring, _dihedral_reference(n_dihedral)) is not None:
+        return fire(
+            "R4",
+            f"fusion rules match the representations of the dihedral group of order {2 * n_dihedral}",
+            "a fusion category with dihedral fusion rules is solvable",
+            SOLVABLE,
+        )
     skip("R4", "fusion rules are not dihedral")
 
     # R5: prime invertible group, no simple of that dimension, not cyclically nilpotent
@@ -118,7 +124,8 @@ def solvability_verdict(ring):
         )
     skip("R6", "type rule does not apply")
 
-    # R7: match against the reference catalog
+    # R7: match against the reference catalog; the stored FPdim and type
+    # decide which entries are built and searched
     from .catalog import default_catalog
 
     for entry in default_catalog():

@@ -58,14 +58,24 @@ def _indices(xs):
     return np.asarray(xs, dtype=np.intp).reshape(-1)
 
 
+def _unique(xs):
+    """The distinct values of ``xs``, sorted and flattened: ``np.unique``
+    without its masked-array check, which imports ``numpy.ma``."""
+    xs = np.sort(np.asarray(xs).reshape(-1))
+    keep = np.empty(xs.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=keep[1:])
+    return xs[keep]
+
+
 def closure(g, seed):
     """Sorted indices of the subgroup generated by the indices ``seed``."""
-    seed = np.unique(_indices(seed))
+    seed = _unique(_indices(seed))
     inside = np.zeros(g.order, dtype=bool)
     inside[g.unit] = True
     frontier = np.array([g.unit])
     while frontier.size and seed.size:
-        products = np.unique(g.mul(frontier[:, None], seed[None, :]))
+        products = _unique(g.mul(frontier[:, None], seed[None, :]))
         frontier = products[~inside[products]]
         inside[frontier] = True
     return np.flatnonzero(inside)
@@ -149,20 +159,20 @@ def _commutators(g, xs, ys):
     """The non-trivial commutators a^-1 b^-1 a b, a in xs, b in ys."""
     a, b = (m.reshape(-1) for m in np.meshgrid(_indices(xs), _indices(ys), indexing="ij"))
     c = g.mul(g.mul(g.inv[a], g.inv[b]), g.mul(a, b))
-    return np.unique(c[c != g.unit])
+    return _unique(c[c != g.unit])
 
 
 def normal_closure(g, seed, over):
     """(members, gens) of the least subgroup containing the indices ``seed``
     and normalized by the indices ``over``."""
-    gens = np.unique(_indices(seed))
+    gens = _unique(_indices(seed))
     over = _indices(over)
     while True:
         members = closure(g, gens)
         inside = np.zeros(g.order, dtype=bool)
         inside[members] = True
         conjugates = g.mul(g.mul(g.inv[over][:, None], gens[None, :]), over[:, None])
-        new = np.unique(conjugates[~inside[conjugates]])
+        new = _unique(conjugates[~inside[conjugates]])
         if not new.size:
             return members, tuple(gens.tolist())
         gens = np.concatenate([gens, new])
@@ -246,7 +256,7 @@ def prime_index_cyclic_subgroups(g, q):
     powers = everything
     for _ in range(q - 1):
         powers = g.mul(powers, everything)
-    b = closure(g, np.union1d(derived_subgroup(g)[0], powers))
+    b = closure(g, np.concatenate([derived_subgroup(g)[0], powers]))
     if len(b) == g.order:
         return []
     quo, coset_of = quotient(g, b)
@@ -295,7 +305,7 @@ def _is_dihedral(g):
     if not rotations.size:
         return False
     a = int(rotations[0])
-    s = int(np.setdiff1d(np.arange(n), closure(g, [a]))[0])
+    s = int(np.setdiff1d(np.arange(n), closure(g, [a]), assume_unique=True)[0])
     return bool(orders[s] == 2 and g.mul(g.mul(g.inv[s], a), s) == g.inv[a])
 
 

@@ -684,6 +684,63 @@ def test_sequiv_witnesses_are_pinned(tmp_path, spec, cycle, conjugated, digest):
     assert _payload_digest(text) == digest
 
 
+# sha256 of the `analyze` payload of each ring's document, with the rule that
+# fires, recorded while the catalog still derived its FPdims and types and R4
+# rebuilt Rep(D_n) on every verdict.  Rep(D_n) documents come from `repring`;
+# F21 is C7:C3 and reaches R7 without a match, as Rep(S4) does.
+PINNED_VERDICTS = [
+    ("D3", "R4", "2722a337c75b30bf5aac6636045642a45d02dd908262fa7275e233313c26de27"),
+    ("D4", "R3", "f976339aa6b404c27d0c95e458bfa14dfee2f3b07679b8c287f07fdc4c38e85a"),
+    ("D5", "R4", "614003141382d73a665a15c04c9e68568991dc1ed473cd725d882c89aafadbe9"),
+    ("D6", "R4", "68e0b3e08b71eb2852c52008492431566eb91d8fba09f09df32ce6cccea64d11"),
+    ("D7", "R4", "413cee5a46507fd5cb6c4d800fb7ab689c67d7a05f52588add61080cb372d088"),
+    ("D8", "R3", "6ac12893a3c9bb061e03e85cb0f95ec761bb76bf974bade97683e416b5ebb461"),
+    ("custom:7:(1 2 3 4 5 6 7)|(2 3 5)(4 7 6)", None,
+     "49ca3704f63bb70882851f17c10a68c2b6eb89750e8517c8058f0ddc6263c623"),
+    ("S4", None, "d850c3ff2aad05b8a5cb3db96d7d92ae6e7a85b7111b822cba53ca809c0c84a5"),
+    ("J5", "R7", "f99ee14792031f2eabdb226c953fc35a6a76ce6ee5e350f11570b4e4e9e635ad"),
+    ("K5", "R7", "35173b42bee4fea6effb3442f0f9b509df7c2c927a12efcd1d60be59e909487d"),
+    ("H5", "R7", "75feb3fcccd1c74e638379ff1b3d4187581e485f4820f14ea9f19f813df0eb12"),
+    ("B5", "R7", "56af2858562f008d9e2176c3f19f6cb94060568228d5b002f87a51513b3cd4ad"),
+    ("B5 dual", "R5", "5f68cf11db0f7eebeea351daab0da3b73dd820895c6dad725cf53f8305ba19a6"),
+    ("L5", "R6", "278884e8d38ae63dee2061241824f8d25d81765c921d0ac305825dd27b6bd211"),
+]
+
+
+def _split_ring_document(name):
+    """The fusionring document of the split ring called name in PINNED_VERDICTS,
+    or None when name is a group spec."""
+    from fusionrings.bicross import split_fusion_ring
+    from fusionrings.catalog import pair_cyclic_alternating, pair_cyclic_symmetric, pair_transposition_alternating
+
+    pairs = {
+        "J5": lambda: pair_cyclic_symmetric(5),
+        "K5": lambda: pair_cyclic_alternating(5),
+        "H5": lambda: pair_cyclic_symmetric(5).dual(),
+        "B5": lambda: pair_transposition_alternating(5),
+        "B5 dual": lambda: pair_transposition_alternating(5).dual(),
+        "L5": lambda: pair_cyclic_alternating(5).dual(),
+    }
+    if name not in pairs:
+        return None
+    return docs.dumps(docs.document("fusionring", docs.ring_payload(split_fusion_ring(pairs[name]()))))
+
+
+@pytest.mark.parametrize("ring, rule, digest", PINNED_VERDICTS, ids=[case[0] for case in PINNED_VERDICTS])
+def test_analyze_verdicts_are_pinned(tmp_path, ring, rule, digest):
+    text = _split_ring_document(ring)
+    if text is None:
+        code, text = run_cli(["repring", ring])
+        assert code == 0
+    path = tmp_path / "ring.json"
+    path.write_text(text)
+    code, text = run_cli(["analyze", str(path)])
+    assert code == 0
+    verdict = docs.loads(text)["payload"]
+    assert (verdict["trace"][-1][0] if verdict["verdict"] != "UNKNOWN" else None) == rule
+    assert _payload_digest(text) == digest
+
+
 def _value(q, conductor=1, exponent=0):
     """The modulardata form of q * zeta_conductor^exponent (q a "p/q" string or 0)."""
     return {"conductor": conductor, "coeffs": [[exponent, q]] if q else []}
