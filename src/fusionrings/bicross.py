@@ -74,9 +74,6 @@ class MatchedPair:
         """The matched pair of the dual product k^F # kGamma."""
         return matched_pair_from_factorization(self.ambient, self.gamma, self.f)
 
-    def acts_trivially_right(self):
-        return bool((self.rtab == np.arange(self.f.order)).all())
-
 
 def matched_pair_from_factorization(group, f, gamma):
     """Verify G = F*Gamma exactly and compute all four action tables."""

@@ -3,17 +3,19 @@
 The table is computed by Dixon's class-sum eigenvector method on int64
 arrays of residues mod a prime p = 1 (mod exponent) beyond the lift bound:
 class matrices are built one at a time and refine the eigenspaces they
-share until the central characters are lines.  The values are lifted by
-one inverse DFT matmul per element order m, which reads the multiplicity
-of each eigenvalue zeta_m^k of a class representative off its power map,
-and each distinct value becomes a Cyclotomic once.  Tables
-with more than MAX_CLASSES classes are refused.  The table encodes its
-distinct values once, as integer Z[zeta_m] coordinates with an index per
-entry; orthogonality (at the embeddings of ``cyclo._moduli``) and degrees
-are certified exactly on them, and the ring of Rep G (chi_x chi_y =
-sum_z N[x][y][z] chi_z, by the decomposition kernel of ``rings``), the
-split bicrossed products and the doubles read them without touching a
-Cyclotomic.
+share until the central characters are lines.  An abelian group, whose
+classes are its elements, skips the refinement: its characters are read
+off the generators in closed form (:func:`_linear_characters`).  The values
+are lifted by one inverse DFT matmul per element order m, which reads the
+multiplicity of each eigenvalue zeta_m^k of a class representative off its
+power map, and each distinct value gets its canonical integral form once.
+Tables with more than MAX_CLASSES classes are refused.  The table keeps
+the lift's integer Z[zeta_m] coordinates of its distinct values with an
+index per entry, and one Cyclotomic per distinct value; orthogonality (at
+the embeddings of ``cyclo._moduli``) and degrees are certified exactly on
+the coordinates, and the ring of Rep G (chi_x chi_y = sum_z N[x][y][z]
+chi_z, by the decomposition kernel of ``rings``), the split bicrossed
+products and the doubles read them without touching a Cyclotomic.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ from .cyclo import (
     _echelon,
     _evaluate,
     _moduli,
-    _monomial_reduction,
     _mulmod,
     _product_bound,
+    _reduced_form,
+    _reduction,
     _split_prime,
     _top,
+    _value,
 )
 from .errors import LengthMismatch, LiftFailure, TooManyClasses
 
@@ -49,8 +53,9 @@ MAX_CLASSES = 128
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
     """A character table; chi_i(z_j) has the Z[zeta_m] coordinates
-    codes[index[i, j]], m the lcm of the value conductors, encoded once at
-    construction from ``chars``, which documents and sort keys read."""
+    codes[index[i, j]], m the lcm of the value conductors, as the lift
+    computed them; ``chars`` holds the same values as Cyclotomics, for
+    documents and sort keys."""
 
     group: object
     classes: tuple          # (representative, size) per class, canonical order
@@ -59,14 +64,9 @@ class CharacterTable:
     degrees: tuple
     chars: tuple            # rows of Cyclotomic values, trivial character first
     dixon_prime: int
-    m: int = field(init=False, repr=False)
-    codes: np.ndarray = field(init=False, repr=False)  # (distinct values, phi(m))
-    index: np.ndarray = field(init=False, repr=False)  # (rows, classes) into codes
-
-    def __post_init__(self):  # no common denominator: character values are algebraic integers
-        m, _, codes, index = _distinct_coordinates(self.chars)
-        for name, value in (("m", m), ("codes", codes), ("index", index)):
-            object.__setattr__(self, name, value)
+    m: int = field(repr=False)
+    codes: np.ndarray = field(repr=False)  # (distinct values, phi(m)), in order of first occurrence
+    index: np.ndarray = field(repr=False)  # (rows, classes) into codes
 
     @property
     def num_classes(self):
@@ -95,7 +95,10 @@ def character_table(group):
     p, z_e = _split_prime(exponent, (bound // exponent + 1) * exponent, 0)
 
     power_map = class_of[powers]  # power_map[l, j]: class of z_j^l
-    lines = _common_eigenlines(group, class_of, members, starts, sizes, rep_orders, power_map, p)
+    if r == order:  # abelian: every class is one element
+        lines = _linear_characters(group, reps, exponent, p, z_e)
+    else:
+        lines = _common_eigenlines(group, class_of, members, starts, sizes, rep_orders, power_map, p)
     if (lines[:, 0] == 0).any():  # the identity class is first in canonical order
         raise LiftFailure("eigenvector vanishes at the identity class")
     omegas = lines * np.array([[pow(int(w), p - 2, p)] for w in lines[:, 0]]) % p
@@ -117,8 +120,8 @@ def character_table(group):
     # lift to exact cyclotomic values: chi(z_j) = sum_k c_k zeta_m^k, where
     # c_k, the multiplicity of the eigenvalue zeta_m^k of z_j, is one inverse
     # DFT over the powers of z_j, batched over the classes of order m
-    values, slots = [], {}
-    index = np.empty((r, r), dtype=np.intp)  # chi_i(z_j) = values[index[i, j]]
+    slots = {}  # the position of each distinct value's integral form, in order of first occurrence
+    index = np.empty((r, r), dtype=np.intp)  # chi_i(z_j) has the form at position index[i, j]
     for m in tables._unique(rep_orders).tolist():
         cols = (rep_orders == m).nonzero()[0]
         zeta, inv_m = pow(z_e, exponent // m, p), pow(m, p - 2, p)
@@ -130,19 +133,22 @@ def character_table(group):
         if over.any():
             i, j, k = np.argwhere(over)[0]
             raise LiftFailure(f"eigenvalue multiplicity {mult[i, j, k]} exceeds degree {degrees[i]}")
-        mult = mult.reshape(-1, m)
-        coords = mult @ np.array(_monomial_reduction(m)[:m], dtype=np.int64)  # canonical Z[zeta_m]
-        first = {}  # the first row of each distinct value
-        which = [first.setdefault(v.tobytes(), i) for i, v in enumerate(coords)]
-        slot = {i: _value_slot(m, mult[i], values, slots) for i in first.values()}
-        index[:, cols] = np.reshape([slot[i] for i in which], (r, len(cols)))
+        cells = list(map(tuple, (mult.reshape(-1, m) @ _reduction(m)).tolist()))  # canonical Z[zeta_m]
+        slot = {cell: slots.setdefault(_reduced_form(m, dict(enumerate(cell))), len(slots))
+                for cell in dict.fromkeys(cells)}
+        index[:, cols] = np.reshape([slot[cell] for cell in cells], (r, len(cols)))
 
     # canonical row order: (degree, sort keys of the values), trivial row first
-    keys = [v.sort_key() for v in values]
+    forms = list(slots)
+    keys = [(n, coords) for n, _, coords in forms]  # Cyclotomic.sort_key: den is 1
     index = index.tolist()
     rows = sorted(range(r), key=lambda i: (degrees[i], [keys[k] for k in index[i]]))
-    one = [v.rational_part() == 1 for v in values]
+    one = [form == (1, 1, ((0, 1),)) for form in forms]
     rows.insert(0, rows.pop(next(n for n, i in enumerate(rows) if all(one[k] for k in index[i]))))
+    index = [index[i] for i in rows]
+    values = list(map(_value, forms))
+    chars = tuple(tuple(values[k] for k in row) for row in index)
+    m, _, codes, index = _distinct_coordinates(forms, index)  # L = 1: the values are algebraic integers
 
     table = CharacterTable(
         group=group,
@@ -150,30 +156,45 @@ def character_table(group):
         class_of=class_of,
         exponent=exponent,
         degrees=tuple(degrees[i] for i in rows),
-        chars=tuple(tuple(values[k] for k in index[i]) for i in rows),
+        chars=chars,
         dixon_prime=p,
+        m=m,
+        codes=codes,
+        index=index,
     )
     _certify(table)
     return table
 
 
-def _value_slot(m, mult, values, slots):
-    """Position in values of sum_k mult[k] zeta_m^k, made a Cyclotomic on its
-    first occurrence.  Equal values are keyed alike: a vector supported on
-    multiples of d is read over zeta_(m/d), the value is keyed by its
-    canonical coordinates there, and a rational value by itself alone."""
-    d = math.gcd(m, *mult.nonzero()[0].tolist())
-    m //= d
-    coords = mult[::d] @ np.array(_monomial_reduction(m)[:m], dtype=np.int64)
-    rational = m == 1 or not coords[1:].any()
-    key = int(coords[0]) if rational else (m, coords.tobytes())
-    if key not in slots:
-        slots[key] = len(values)
-        if rational:
-            values.append(Cyclotomic.rational(key))
-        else:
-            values.append(Cyclotomic(m, dict(enumerate(coords.tolist()))))
-    return slots[key]
+def _linear_characters(group, reps, exponent, p, z_e):
+    """The |G| characters of an abelian group mod p, one row each, on the
+    classes, the elements reps.  They are built one generator s at a time:
+    on the subgroup H of the generators before s, every element is h s^j
+    for h in H and j below the order k of s modulo H, and every character
+    chi of H extends in k ways, chi(h s^j) = chi(h) lambda^j with
+    lambda^k = chi(s^k).  Values are kept as exponents of z_e: if
+    chi(s^k) = z_e^c, then k divides c (the order of s divides e) and
+    lambda = z_e^(c/k + t e/k) for t < k."""
+    where = np.full(group.order, -1)  # position of each element among members
+    where[group.unit] = 0
+    members = np.array([group.unit])
+    logs = np.zeros((1, 1), dtype=np.int64)  # chi_i(members[x]) = z_e^logs[i, x]
+    for s, right in zip(group.gens, group.rmul):
+        top, k = s, 1
+        while where[top] < 0:  # s^k, for the order k of s modulo H
+            top, k = right[top], k + 1
+        if k == 1:
+            continue
+        lam = (logs[:, where[top]] // k)[:, None] + np.arange(k) * (exponent // k)  # [i, t]
+        jumps = lam[:, :, None, None] * np.arange(k)[:, None]  # [i, t, j, 0]: j times lambda
+        logs = ((logs[:, None, None, :] + jumps) % exponent).reshape(k * len(members), -1)
+        blocks = [members]
+        for _ in range(k - 1):
+            blocks.append(right[blocks[-1]])
+        members = np.concatenate(blocks)  # h s^j at j |H| + (position of h)
+        where[members] = np.arange(len(members))
+    zpow = np.array([pow(z_e, t, p) for t in range(exponent)], dtype=np.int64)
+    return zpow[logs[:, where[reps]]]
 
 
 def _powers(group, reps):
@@ -304,7 +325,7 @@ def _certify(table):
     order = table.group.order
     sizes = np.array([s for _, s in table.classes])
     # a conjugate's coordinates are sums of phi coordinates times entries of red
-    red = np.array(_monomial_reduction(m)[:m], dtype=np.int64)
+    red = _reduction(m)
     bound = order * phi * _top(codes) ** 2 * _top(red) * _product_bound(m) + order
     wrong = np.zeros((r, r), dtype=bool)
     for q, E, _ in _moduli(m, bound):

@@ -1,11 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Representation: a conductor N and a sparse map exponent -> Fraction over the
-power basis zeta_N^0 .. zeta_N^(phi(N)-1).  Canonicalization reduces the raw
-exponent vector against the fixed echelonized relation set of conductor N
-(equivalently, takes the remainder modulo the N-th cyclotomic polynomial) and
-then minimizes the conductor by normalized-trace descent over prime divisors.
-Two equal field elements therefore always carry identical representations.
+power basis zeta_N^0 .. zeta_N^(phi(N)-1).  Canonical forms are computed on
+integers over one common denominator (:func:`_reduced_form`): the exponents
+lose their common factor with N, N = 2 (mod 4) is halved, and a root of
+unity is then read off the remainders of x^e modulo the N-th cyclotomic
+polynomial; any other value takes those remainders and descends to N/p
+while its trace, one integer matrix per (N, p) built in closed form
+(:func:`_descent`), lifts back to it.  Two equal field elements therefore
+always carry identical representations.
 
 The integer-array half, canonical Z[zeta_m] coordinates scaled by one common
 denominator, is the one exact kernel of every hot loop: arrays are evaluated
@@ -21,7 +24,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, count
+from itertools import count
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -38,6 +41,7 @@ _ZERO = Fraction(0)
 MAX_CONDUCTOR = 3000
 
 
+@lru_cache(maxsize=None)
 def _prime_divisors(n):
     out = []
     d = 2
@@ -49,13 +53,14 @@ def _prime_divisors(n):
         d += 1
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
 
 
 def _is_prime(n):
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
+@lru_cache(maxsize=None)
 def _phi(n):
     out = n
     for p in _prime_divisors(n):
@@ -137,6 +142,15 @@ def _monomial_reduction(n):
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _reduction(n):
+    """The canonical coordinates of zeta_n^e, e < n, as a read-only int64
+    (n x phi(n)) array: raw coordinates times it are canonical ones."""
+    red = np.array(_monomial_reduction(n)[:n], dtype=np.int64)
+    red.setflags(write=False)
+    return red
+
+
 def _exact_dtype(bound):
     """The cheapest dtype whose matmuls stay exact while every partial sum is
     at most bound in absolute value: float32 or float64 (BLAS), int64, or
@@ -159,36 +173,54 @@ def _coordinates(rows):
     """(m, L, X): X[i, j] holds the canonical Z[zeta_m] coordinates of
     L * rows[i][j], m the lcm of the conductors and L the least common
     denominator of every coefficient; X is int64 when the encoding's sums
-    stay below 2**63, else Python ints."""
-    m, scale, coords, index = _distinct_coordinates(rows)
-    return m, scale, coords[index]
-
-
-def _distinct_coordinates(rows):
-    """(m, L, C, index): as :func:`_coordinates`, with each value object
-    encoded once, however often the rows repeat it; X = C[index]."""
+    stay below 2**63, else Python ints.  Each value object is encoded once,
+    however often the rows repeat it."""
     distinct = {}
     index = [[distinct.setdefault(id(v), (len(distinct), v))[0] for v in row] for row in rows]
-    values = [v for _, v in distinct.values()]
-    m = lcm(*(v.conductor for v in values))
-    scale = lcm(*(c.denominator for v in values for c in v.coeffs.values()))
-    codes = [[0] * m for _ in values]  # on zeta_m^0 .. zeta_m^(m-1), not yet reduced
-    for code, v in zip(codes, values):
-        for e, c in v.coeffs.items():
-            code[e * (m // v.conductor)] = c.numerator * (scale // c.denominator)
-    red = np.array(_monomial_reduction(m)[:m], dtype=np.int64)
-    top = max(map(abs, chain.from_iterable(codes)), default=0) * m * _top(red)
+    return _indexed_coordinates([_form_of(v) for _, v in distinct.values()], index)
+
+
+def _indexed_coordinates(forms, index):
+    """(m, L, X) as :func:`_coordinates` gives it for the values
+    forms[index[i][j]], given by their integral forms."""
+    m, scale, codes, index = _distinct_coordinates(forms, index)
+    return m, scale, codes[index]
+
+
+def _distinct_coordinates(forms, index):
+    """(m, L, C, index'): as :func:`_coordinates` for the rows of values
+    forms[index[i][j]], given by their integral forms (conductor, den,
+    coords) as :func:`_reduced_form` makes them; C holds the coordinates of
+    each form that index names once, in order of first occurrence, and
+    X = C[index']."""
+    index = np.asarray(index, dtype=np.intp)
+    seen = list(dict.fromkeys(index.ravel().tolist()))  # in order of first occurrence
+    rank = np.empty(len(forms), dtype=np.intp)
+    rank[seen] = np.arange(len(seen))
+    forms = [forms[k] for k in seen]
+    m = lcm(*(n for n, _, _ in forms))
+    scale = lcm(*(den for _, den, _ in forms))
+    rows, exponents, values = [], [], []  # L times the forms on zeta_m^0 .. zeta_m^(m-1)
+    for row, (n, den, coords) in enumerate(forms):
+        step, factor = m // n, scale // den
+        for i, x in coords:
+            rows.append(row)
+            exponents.append(i * step)
+            values.append(x * factor)
+    red = _reduction(m)
+    top = max(map(abs, values), default=0) * m * _top(red)
     dt = np.int64 if top < 2**63 else object
-    coords = np.array(codes, dtype=dt).reshape(-1, m) @ red.astype(dt)
-    return m, scale, coords, np.array(index, dtype=np.intp).reshape(len(rows), -1)
+    raw = np.zeros((len(forms), m), dtype=dt)
+    raw[rows, exponents] = values
+    return m, scale, raw @ red.astype(dt, copy=False), rank[index]
 
 
 def _lift(codes, m, M):
     """The canonical Z[zeta_M] coordinates of values given by their Z[zeta_m]
     coordinates codes (..., phi(m)), for m dividing M: zeta_m^k = zeta_M^(k M/m)."""
-    red = np.array(_monomial_reduction(M)[:M], dtype=np.int64)[:: M // m][: codes.shape[-1]]
+    red = _reduction(M)[:: M // m][: codes.shape[-1]]
     dt = np.int64 if _top(codes) * codes.shape[-1] * _top(red) < 2**63 else object
-    return codes.astype(dt) @ red.astype(dt)
+    return codes.astype(dt) @ red.astype(dt, copy=False)
 
 
 def _mulmod(a, b, p):
@@ -293,8 +325,14 @@ def _inner(A, B, m):
     B (..., y, t, phi(m)) with the same leading batch shape; int64 unless an
     entry needs Python ints.  One batched matmul per embedding at each prime
     of _moduli, mapped back through E^-1; the primes recombine by Garner's
-    CRT, in int64 until the modulus passes 2**62, in Python ints after."""
+    CRT, in int64 until the modulus passes 2**62, in Python ints after.
+    At m = 1 the coordinates are the values, and one matmul in the dtype
+    that ``_exact_dtype`` allows is exact."""
     bound = A.shape[-2] * _top(A) * _top(B) * _product_bound(m)
+    if m == 1:
+        dt = _exact_dtype(bound)
+        out = np.matmul(A[..., 0].astype(dt), B[..., 0].swapaxes(-1, -2).astype(dt))
+        return out[..., None].astype(object if bound >= 2**63 else np.int64)
     out, modulus = 0, 1
     for q, E, inverse in _moduli(m, bound):
         a = np.moveaxis(_evaluate(A, q, E), -1, -3)  # [..., e, x, t]
@@ -308,51 +346,131 @@ def _inner(A, B, m):
     return out.astype(object if bound >= 2**63 else np.int64)
 
 
-def _reduce_raw(n, raw):
-    """Reduce {exponent: Fraction} with exponents < 2n-1 to canonical coeffs."""
-    red = _monomial_reduction(n)
-    out = {}
-    for e, c in raw.items():
-        if not c:
+def _reduce(n, raw):
+    """The canonical coordinates {i: int}, zeros dropped, of
+    sum_e raw[e] zeta_n^e for integers raw[e], e < 2n - 1."""
+    phi, red, out = _phi(n), None, {}
+    for e, x in raw.items():
+        if e < phi:
+            out[e] = out.get(e, 0) + x
             continue
+        red = red or _monomial_reduction(n)
         for i, r in enumerate(red[e]):
             if r:
-                out[i] = out.get(i, _ZERO) + c * r
-    return {e: c for e, c in out.items() if c}
+                out[i] = out.get(i, 0) + r * x
+    return {i: x for i, x in out.items() if x}
 
 
-def _galois_image(n, coeffs, k):
-    raw = {}
-    for e, c in coeffs.items():
-        e2 = (e * k) % n
-        raw[e2] = raw.get(e2, _ZERO) + c
-    return _reduce_raw(n, raw)
+@lru_cache(maxsize=None)
+def _descent(n, p):
+    """(trace, lift) for a prime p exactly dividing n and m = n/p, as the
+    columns of two integer matrices in (row, entry) pairs.  zeta_n^e is
+    zeta_m^(e/p mod m) times a p-th root of unity, which traces to 1 when p
+    divides e and to -1/(p-1) otherwise; trace[e] holds p - 1 times the
+    normalized trace of zeta_n^e, e < phi(n), in the canonical coordinates
+    of conductor m.  lift[i] holds those of zeta_m^i = zeta_n^(ip) at n."""
+    m = n // p
+    inverse, red_m, red_n = pow(p, -1, m), _monomial_reduction(m), _monomial_reduction(n)
+    trace = tuple(
+        tuple((i, r * (p - 1 if e % p == 0 else -1)) for i, r in enumerate(red_m[e * inverse % m]) if r)
+        for e in range(_phi(n))
+    )
+    lift = tuple(tuple((j, r) for j, r in enumerate(red_n[i * p]) if r) for i in range(_phi(m)))
+    return trace, lift
 
 
-def _minimize(n, coeffs):
-    """(least conductor, canonical coefficients) of the value with canonical
-    coefficients coeffs at conductor n.  It lies in Q(zeta_m), m = n/p for a
-    prime p, exactly when its normalized trace Tr/[n:m] lifts back to it by
-    zeta_m = zeta_n^p.  If p divides m, the trace keeps zeta_n^e as
-    zeta_m^(e/p) when p divides e and drops it otherwise; if not,
-    zeta_n^e = zeta_m^(e/p mod m) times a p-th root of unity, which traces
-    to 1 when p divides e and to -1/(p-1) otherwise."""
-    descended = bool(coeffs)
+def _halve(n, raw):
+    """sum_e raw[e] zeta_n^e, for n = 2 (mod 4), written over zeta_(n/2):
+    zeta_n^e is zeta_(n/2)^(e/2) for even e and -zeta_(n/2)^((e + n/2)/2)
+    for odd e."""
+    half, out = n // 2, {}
+    for e, x in raw.items():
+        if e % 2:
+            e, x = (e + half) // 2 % half, -x
+        else:
+            e //= 2
+        out[e] = out.get(e, 0) + x
+    return {e: x for e, x in out.items() if x}
+
+
+def _reduced_form(n, raw, den=1):
+    """The integral form (conductor, den, coords) of the value
+    sum_e raw[e] zeta_n^e / den, for integers raw[e]: the least conductor,
+    and the nonzero canonical coordinates there over the least common
+    denominator, as sorted (i, numerator) pairs.  Equal values have equal
+    forms.  The exponents first lose their common factor with n, and
+    n = 2 (mod 4) is halved; a root of unity is then at its least conductor
+    and read off _monomial_reduction.  Any other value is reduced and
+    descends while it can: by halving again, by the exponents' common factor
+    p when p^2 divides n, and through the trace and lift of
+    :func:`_descent` when a prime p exactly divides n."""
+    folded = {}
+    for e, x in raw.items():
+        folded[e % n] = folded.get(e % n, 0) + x
+    raw = {e: x for e, x in folded.items() if x}
+    while True:
+        g = gcd(n, *raw)
+        if g > 1:
+            n, raw = n // g, {e // g: x for e, x in raw.items()}
+        if n % 4 != 2:
+            break
+        n, raw = n // 2, _halve(n, raw)
+    if len(raw) == 1:  # x zeta_n^e with e prime to n
+        [(e, x)] = raw.items()
+        if e < _phi(n):
+            return _normalized(n, den, raw)
+        return _normalized(n, den, {i: r * x for i, r in enumerate(_monomial_reduction(n)[e]) if r})
+    coords = _reduce(n, raw)
+    descended = bool(coords)
     while descended and n > 1:
         descended = False
+        if n % 4 == 2:
+            n, coords, descended = n // 2, _reduce(n // 2, _halve(n, coords)), True
+            continue
         for p in _prime_divisors(n):
-            m, raw = n // p, {}
-            for e, c in coeffs.items():
-                if m % p:
-                    k = e * pow(p, -1, m) % m
-                    raw[k] = raw.get(k, _ZERO) + (c if e % p == 0 else c * Fraction(-1, p - 1))
-                elif e % p == 0:
-                    raw[e // p] = c
-            traced = _reduce_raw(m, raw)
-            if _reduce_raw(n, {e * p: c for e, c in traced.items()}) == coeffs:
-                n, coeffs, descended = m, traced, True
+            m = n // p
+            if m % p == 0:
+                if all(e % p == 0 for e in coords):
+                    n, coords, descended = m, {e // p: x for e, x in coords.items()}, True
+                    break
+                continue
+            trace, lift = _descent(n, p)
+            traced = {}
+            for e, x in coords.items():
+                for i, r in trace[e]:
+                    traced[i] = traced.get(i, 0) + r * x
+            if any(x % (p - 1) for x in traced.values()):
+                continue
+            traced = {i: x // (p - 1) for i, x in traced.items() if x}
+            back = {}
+            for i, x in traced.items():
+                for j, r in lift[i]:
+                    back[j] = back.get(j, 0) + r * x
+            if {j: x for j, x in back.items() if x} == coords:
+                n, coords, descended = m, traced, True
                 break
-    return (n, coeffs) if coeffs else (1, {})
+    return _normalized(n if coords else 1, den, coords)
+
+
+def _normalized(n, den, coords):
+    """The integral form of sum_i coords[i] zeta_n^i / den, coords in the
+    canonical basis: over the least common denominator, with the nonzero
+    coordinates as sorted (i, numerator) pairs."""
+    g = gcd(den, *coords.values())
+    return n, den // g, tuple(sorted((i, x // g) for i, x in coords.items()))
+
+
+def _form_of(value):
+    """The integral form (conductor, den, coords) of a Cyclotomic."""
+    den = lcm(*(c.denominator for c in value.coeffs.values()))
+    coords = tuple((e, c.numerator * (den // c.denominator)) for e, c in sorted(value.coeffs.items()))
+    return value.conductor, den, coords
+
+
+def _value(form):
+    """The Cyclotomic of an integral form (conductor, den, coords)."""
+    n, den, coords = form
+    return Cyclotomic(n, {i: Fraction(x, den) for i, x in coords}, _canonical=True)
 
 
 class Cyclotomic:
@@ -362,13 +480,11 @@ class Cyclotomic:
 
     def __init__(self, conductor, coeffs, _canonical=False):
         if not _canonical:
-            raw = {}
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    e %= conductor
-                    raw[e] = raw.get(e, _ZERO) + c
-            conductor, coeffs = _minimize(conductor, _reduce_raw(conductor, raw))
+            coeffs = {e: Fraction(c) for e, c in coeffs.items()}
+            den = lcm(*(c.denominator for c in coeffs.values()))
+            raw = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+            conductor, den, coords = _reduced_form(conductor, raw, den)
+            coeffs = {i: Fraction(x, den) for i, x in coords}
         self.conductor = conductor
         self.coeffs = coeffs
         self._hash = None
@@ -402,8 +518,11 @@ class Cyclotomic:
     # -- ring/field operations
 
     def _lift_raw(self, n):
+        """(den, raw): the value as integers over one denominator, on the
+        exponents of zeta_n."""
+        _, den, coords = _form_of(self)
         scale = n // self.conductor
-        return {e * scale: c for e, c in self.coeffs.items()}
+        return den, {e * scale: x for e, x in coords}
 
     @staticmethod
     def _coerce(x):
@@ -418,11 +537,12 @@ class Cyclotomic:
         if other is NotImplemented:
             return NotImplemented
         n = lcm(self.conductor, other.conductor)
-        raw = self._lift_raw(n)
-        for e, c in other._lift_raw(n).items():
-            raw[e] = raw.get(e, _ZERO) + c
-        n2, coeffs = _minimize(n, _reduce_raw(n, raw))
-        return Cyclotomic(n2, coeffs, _canonical=True)
+        (da, a), (db, b) = self._lift_raw(n), other._lift_raw(n)
+        den = lcm(da, db)
+        raw = {e: x * (den // da) for e, x in a.items()}
+        for e, x in b.items():
+            raw[e] = raw.get(e, 0) + x * (den // db)
+        return _value(_reduced_form(n, raw, den))
 
     __radd__ = __add__
 
@@ -456,14 +576,12 @@ class Cyclotomic:
         if self.conductor == 1:
             return other * self
         n = lcm(self.conductor, other.conductor)
-        a, b = self._lift_raw(n), other._lift_raw(n)
+        (da, a), (db, b) = self._lift_raw(n), other._lift_raw(n)
         raw = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                raw[e] = raw.get(e, _ZERO) + c1 * c2
-        n2, coeffs = _minimize(n, _reduce_raw(n, raw))
-        return Cyclotomic(n2, coeffs, _canonical=True)
+        for e1, x1 in a.items():
+            for e2, x2 in b.items():
+                raw[e1 + e2] = raw.get(e1 + e2, 0) + x1 * x2
+        return _value(_reduced_form(n, raw, da * db))
 
     __rmul__ = __mul__
 
@@ -497,8 +615,8 @@ class Cyclotomic:
             raise ValueError("k must be coprime to the conductor")
         if self.conductor == 1:
             return self
-        coeffs = _galois_image(self.conductor, self.coeffs, k % self.conductor)
-        return Cyclotomic(self.conductor, coeffs, _canonical=True)
+        n, den, coords = _form_of(self)
+        return _value(_normalized(n, den, _reduce(n, {e * k % n: x for e, x in coords})))
 
     # -- comparisons, hashing, output
 
@@ -554,6 +672,12 @@ def to_document(a):
 def from_document(doc):
     """Inverse of :func:`to_document`; raises ValueError on a malformed form
     and ConductorTooLarge past MAX_CONDUCTOR."""
+    return _value(_document_form(doc))
+
+
+def _document_form(doc):
+    """The integral form of the value a document names, as :func:`from_document`
+    checks it."""
     conductor = doc.get("conductor") if isinstance(doc, dict) else None
     pairs = doc.get("coeffs") if isinstance(doc, dict) else None
     if type(conductor) is not int or conductor < 1 or not isinstance(pairs, list):
@@ -568,5 +692,6 @@ def from_document(doc):
         num, den = pair[1].split("/")
         if int(den) == 0:
             raise ValueError(f"zero denominator in {pair[1]!r}")
-        coeffs[pair[0]] = Fraction(int(num), int(den))
-    return Cyclotomic(conductor, coeffs)
+        coeffs[pair[0]] = int(num), int(den)
+    den = lcm(*(abs(d) for _, d in coeffs.values()))
+    return _reduced_form(conductor, {e: num * (den // d) for e, (num, d) in coeffs.items()}, den)

@@ -251,34 +251,54 @@ def modular_from_payload(payload):
         degree = group.degree
     else:
         degree = _degree_of_cycle_strings(rep for rep, _ in payload["labels"])
+    reps = {rep: Permutation.parse(rep, degree) for rep in dict.fromkeys(rep for rep, _ in payload["labels"])}
     labels = tuple(
-        DoubleLabel(
-            class_index=-1,
-            class_rep=Permutation.parse(rep, degree),
-            char_row=int(row),
-            dim=int(d),
-        )
+        DoubleLabel(class_index=-1, class_rep=reps[rep], char_row=int(row), dim=int(d))
         for (rep, row), d in zip(payload["labels"], payload["dims"])
     )
-    parsed = {}  # each distinct form once, keyed by its repr, which tells JSON values apart
+    forms, slots = [], {}  # each distinct form once, keyed by its JSON content, types included
 
-    def parse(v):
-        key = repr(v)
-        if key not in parsed:
-            parsed[key] = cyclo.from_document(v)
-        return parsed[key]
+    def slot(v):
+        key = _form_key(v) or id(v)
+        if key not in slots:
+            forms.append(cyclo._document_form(v))
+            slots[key] = len(forms) - 1
+        return slots[key]
 
+    s = [[slot(v) for v in row] for row in payload["s"]]
+    t = [slot(v) for v in payload["t"]]
+    values = list(map(cyclo._value, forms))
     md = ModularData(
         group=group,
         labels=labels,
-        S=tuple(tuple(map(parse, row)) for row in payload["s"]),
-        T=tuple(map(parse, payload["t"])),
+        S=tuple(tuple(values[k] for k in row) for row in s),
+        T=tuple(values[k] for k in t),
         dims=tuple(int(d) for d in payload["dims"]),
         global_dim=int(payload["global_dim"]),
         charge_conjugation=(),
     )
+    md._encoding = tuple(cyclo._indexed_coordinates(forms, index) for index in (s, t))
     md.charge_conjugation = _certify_modular(md)
     return md
+
+
+def _form_key(v):
+    """(conductor, e, "p/q", ...) for a cyclotomic form whose JSON types are
+    those of :func:`cyclo.to_document`, None for any other: equal keys are
+    equal forms, and 1 never meets true or 1.0 (a repr would tell them
+    apart as well, at twice the cost)."""
+    try:
+        conductor, pairs = v["conductor"], v["coeffs"]
+    except (TypeError, KeyError):
+        return None
+    if type(conductor) is not int or type(pairs) is not list:
+        return None
+    key = [conductor]
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) is not str:
+            return None
+        key += pair
+    return tuple(key)
 
 
 # -- verdicts and witnesses

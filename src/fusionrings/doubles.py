@@ -6,14 +6,18 @@ character tables carry, M the lcm of their m: one matrix X holds every
 label's character on the classes of its centralizer, the pairing counts
 of those classes form one integer matrix, and S is X counts X^T times
 |G| / (|C(a)||C(b)|), T is chi(a) / chi(1), each by exact division.  Each
-distinct entry becomes one Cyclotomic, for documents and ``md.S``/``md.T``.
+distinct entry gets its canonical integral form once, and one Cyclotomic,
+for documents and ``md.S``/``md.T``.
 
 Everything after reads one encoding of S and T per instance (``_encoded``):
 A = L*S of shape (n, n, phi(m)), the coordinates of each entry in the power
 basis of Z[zeta_m], m the lcm of the entry conductors and L one common
-denominator (1 for genuine doubles).  The certificate checks the twists,
-the dimension row and symmetry on it, and S^2 = D*C as one contraction;
-both contractions, S and S^2, run at the embeddings of ``cyclo._inner``.
+denominator (1 for genuine doubles).  The double and a modular data
+document's reader set it from the integral forms they hold; any other
+instance is encoded from its Cyclotomic entries on first use.  The
+certificate checks the twists, the dimension row and symmetry on it, and
+S^2 = D*C as one contraction; both contractions, S and S^2, run at the
+embeddings of ``cyclo._inner``.
 
 The fusion tensor is the Verlinde decomposition
 sum_z N[x][y][z] S[z][t] = S[x][t] S[y][t] / d_t, solved and certified by
@@ -28,13 +32,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
 from . import rings
 from .chartab import character_table
-from .cyclo import Cyclotomic, _coordinates, _exact_dtype, _inner, _lift, _monomial_reduction, _phi, _top
+from .cyclo import (
+    Cyclotomic,
+    _coordinates,
+    _exact_dtype,
+    _indexed_coordinates,
+    _inner,
+    _lift,
+    _phi,
+    _reduced_form,
+    _reduction,
+    _top,
+    _value,
+)
 from .equivalence import _node_budget, _search
 from .errors import InvariantFailure, SingularS, TooManyLabels
 
@@ -129,18 +144,31 @@ def double_modular_data(group):
     centralizers = np.repeat([cent.order for cent in cents], sizes)
     s = _exact_quotient(block * order, np.multiply.outer(centralizers, centralizers)[:, :, None], "S")
 
-    value = cache(lambda coords: Cyclotomic(M, dict(enumerate(coords))))  # one per distinct entry
+    S, encoded_s = _values(M, s)
+    (T,), (mt, lt, encoded_t) = _values(M, t[None])
     md = ModularData(
         group=group,
         labels=tuple(labels),
-        S=tuple(tuple(map(value, map(tuple, row))) for row in s.tolist()),
-        T=tuple(map(value, map(tuple, t.tolist()))),
+        S=S,
+        T=T,
         dims=tuple(l.dim for l in labels),
         global_dim=order * order,
         charge_conjugation=(),
     )
+    md._encoding = encoded_s, (mt, lt, encoded_t[0])
     md.charge_conjugation = _certify_modular(md)
     return md
+
+
+def _values(M, coords):
+    """(rows, (m, 1, X)) for integer Z[zeta_M] coordinates coords (rows,
+    columns, phi(M)): the rows of Cyclotomic values, one object per distinct
+    value, and their encoding as ``cyclo._coordinates`` has it."""
+    slots = {}  # the distinct coordinate tuples, in order of first occurrence
+    index = [[slots.setdefault(c, len(slots)) for c in map(tuple, row)] for row in coords.tolist()]
+    forms = [_reduced_form(M, dict(enumerate(c))) for c in slots]
+    values = list(map(_value, forms))
+    return tuple(tuple(values[k] for k in row) for row in index), _indexed_coordinates(forms, index)
 
 
 def _exact_quotient(a, b, name):
@@ -153,7 +181,8 @@ def _exact_quotient(a, b, name):
 
 def _encoded(md):
     """((m, L, A), (mt, lt, T)): the coordinates of L*S and lt*T as built by
-    ``cyclo._coordinates``, encoded once per instance."""
+    ``cyclo._coordinates``, encoded once per instance unless its maker set
+    them from the coordinates it held."""
     if md._encoding is None:
         mt, lt, T = _coordinates([md.T])
         md._encoding = _coordinates(md.S), (mt, lt, T[0])
@@ -168,7 +197,7 @@ def _certify_modular(md):
     if T[0, 0] != lt or T[0, 1:].any():
         raise InvariantFailure("unit_twist")
     # the roots of unity of Q(zeta_mt) are +-zeta_mt^k; lt zeta_mt^k fits T's dtype, as T[0] = lt does
-    roots = lt * np.array(_monomial_reduction(mt)[:mt], dtype=T.dtype)
+    roots = lt * _reduction(mt).astype(T.dtype)
     bad = np.flatnonzero(~(T[:, None] == np.concatenate([roots, -roots])).all(axis=2).any(axis=1))
     if bad.size:
         raise InvariantFailure("twist_not_root_of_unity", f"T[{bad[0]}]")

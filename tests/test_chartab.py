@@ -2,9 +2,12 @@
 
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fusionrings import docs, rings
+from fusionrings import chartab, docs, rings
 from fusionrings.chartab import (
     character_table,
     inner_product,
@@ -208,9 +211,12 @@ def test_certify_rejects_broken_tables_with_the_same_messages():
 
     table = character_table(alternating_group(5))
     chars = [list(row) for row in table.chars]
-    chars[1][1], chars[2][1] = chars[2][1], chars[1][1]  # swap the sqrt(5) values in one column
+    index = table.index.copy()
+    # swap the sqrt(5) values in one column, in the values and in the encoding _certify reads
+    chars[1][1], chars[2][1] = chars[2][1], chars[1][1]
+    index[[1, 2], 1] = index[[2, 1], 1]
     with pytest.raises(LiftFailure, match=r"row orthogonality failed at \(0,1\)"):
-        _certify(dataclasses.replace(table, chars=tuple(map(tuple, chars))))
+        _certify(dataclasses.replace(table, chars=tuple(map(tuple, chars)), index=index))
     degrees = (1, 3, 3, 5, 4)
     with pytest.raises(LiftFailure, match="degree column mismatch"):
         _certify(dataclasses.replace(table, degrees=degrees))
@@ -242,3 +248,95 @@ def test_chartab_payloads_are_pinned(spec, prime, digest):
     table = character_table(parse_group_spec(spec))
     assert table.dixon_prime == prime
     assert hashlib.sha256(docs.dumps(docs.chartab_payload(table)).encode()).hexdigest() == digest
+
+
+# -- abelian groups: the closed form against the refinement
+
+
+def abelian_group(orders, words, relabel):
+    """The direct product of cyclic groups of the given orders, each on its
+    own points, generated by the elements with exponent vectors ``words``
+    and conjugated by the point permutation ``relabel``."""
+    offsets = np.cumsum([0] + orders).tolist()
+    degree = max(offsets[-1], 1)  # C1 fixes one point
+    gens = []
+    for word in words:
+        images = [offsets[i] + (x - offsets[i] + a) % k for i, (k, a) in enumerate(zip(orders, word))
+                  for x in range(offsets[i], offsets[i + 1])] or [0]
+        moved = [0] * degree
+        for x, y in enumerate(images):
+            moved[relabel[x]] = relabel[y]
+        gens.append(Permutation(moved))
+    return PermGroup.from_generators(degree, gens)
+
+
+@st.composite
+def abelian_groups(draw):
+    """(orders, words, relabel) for :func:`abelian_group`: cyclic factors of
+    order up to 8 with a product up to 32, generated by the factors' own
+    cycles and up to three products of them, in any order."""
+    orders = []
+    while len(orders) < 4 and draw(st.booleans()):
+        k = draw(st.sampled_from([2, 3, 4, 5, 6, 8]))
+        if np.prod(orders + [k]) <= 32:
+            orders.append(k)
+    words = [tuple(int(i == j) for j in range(len(orders))) for i in range(len(orders))]
+    for _ in range(draw(st.integers(0, 3))):
+        words.append(tuple(draw(st.integers(0, k - 1)) for k in orders))
+    words = draw(st.permutations(words)) if words else [()]
+    return orders, words, draw(st.permutations(range(max(sum(orders), 1))))
+
+
+def refined_lines(group, reps, exponent, p, z_e):
+    """The eigenlines of the class-matrix refinement, in the place of the
+    closed form."""
+    r = group.order
+    class_of = group.class_index_map()
+    powers = chartab._powers(group, reps)
+    orders = np.argmax(powers[1:] == group.unit, axis=0) + 1
+    members = np.argsort(class_of, kind="stable")
+    return chartab._common_eigenlines(group, class_of, members, np.arange(r), np.ones(r, dtype=np.int64),
+                                      orders, class_of[powers], p)
+
+
+C2_TO_THE_7 = ([2] * 7, [tuple(int(i == j) for j in range(7)) for i in range(7)], list(range(14)))
+# C2 x C64 on 66 points, given by seven generators, five of them redundant
+C2_C64 = ([2, 64], [(0, 2), (1, 1), (1, 0), (0, 32), (1, 3), (0, 1), (1, 63)], list(range(65, -1, -1)))
+
+
+def no_refinement(*args):
+    raise AssertionError("class-matrix refinement of an abelian group")
+
+
+@settings(max_examples=20, deadline=None)
+@given(abelian_groups())
+@example(([], [()], [0]))  # C1
+@example(C2_TO_THE_7)
+@example(C2_C64)
+def test_abelian_tables_match_the_refinement(case):
+    """Field by field, the closed form of an abelian table, which never
+    refines class matrices, is the table that the refinement gives."""
+    group = abelian_group(*case)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chartab, "_common_eigenlines", no_refinement)
+        closed = character_table(group)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chartab, "_linear_characters", refined_lines)
+        refined = character_table(group)
+    assert closed.num_classes == group.order
+    for name in ("classes", "degrees", "chars", "dixon_prime", "m", "exponent"):
+        assert getattr(closed, name) == getattr(refined, name), name
+    for name in ("codes", "index", "class_of"):
+        a, b = getattr(closed, name), getattr(refined, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_abelian_tables_skip_the_refinement(monkeypatch):
+    """No abelian table refines class matrices; every other table does."""
+    monkeypatch.setattr(chartab, "_common_eigenlines", no_refinement)
+    c2_cubed = ([2, 2, 2], [(1, 0, 0), (1, 1, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)], [5, 3, 1, 0, 2, 4])
+    for case in (([], [()], [0]), ([3, 4], [(1, 0), (0, 1)], [6, 0, 5, 1, 4, 2, 3]), c2_cubed):
+        table = character_table(abelian_group(*case))
+        assert table.degrees == (1,) * table.num_classes
+    with pytest.raises(AssertionError, match="refinement"):
+        character_table(symmetric_group(3))

@@ -290,10 +290,20 @@ def _break_conductor_past_bound(p):
     p["t"][1] = {"conductor": MAX_CONDUCTOR + 1, "coeffs": [[1, "1/1"]]}  # a root of unity
 
 
+# Python twins of S[0][0] = {"conductor": 1, "coeffs": [[0, "1/1"]]}, which the
+# reader parses first: equal as Python values, malformed as documents
+def _break_bool_twin_entry(p):
+    p["s"][1][1] = {"conductor": True, "coeffs": [[False, "1/1"]]}
+
+
+def _break_float_twin_entry(p):
+    p["s"][1][1] = {"conductor": 1.0, "coeffs": [[0, "1/1"]]}
+
+
 @pytest.mark.parametrize(
     "breaker",
     [_break_missing_s, _break_ragged_s, _break_short_row, _break_short_s, _break_missing_t, _break_bad_entry,
-     _break_conductor_past_bound],
+     _break_conductor_past_bound, _break_bool_twin_entry, _break_float_twin_entry],
 )
 def test_cli_malformed_modular_documents_are_usage_errors(tmp_path, breaker):
     _, text = run_cli(["double", "S3"])

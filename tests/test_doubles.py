@@ -254,7 +254,7 @@ def verlinde_oracle(md):
     denom = md.global_dim * math.lcm(*dims)
 
     def integral(value):  # exponent -> int over zeta_m; S of a double is integral
-        raw = value._lift_raw(m)
+        raw = {e * (m // value.conductor): c for e, c in value.coeffs.items()}
         assert all(c.denominator == 1 for c in raw.values())
         return {e: c.numerator for e, c in raw.items()}
 
@@ -484,3 +484,23 @@ def test_double_of_a7_holds_no_phi_squared_array():
         tracemalloc.stop()
     assert md.size == 74
     assert peak < 200 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+@pytest.mark.parametrize("group", [symmetric_group(3), alternating_group(4), cyclic_group(6), alternating_group(5)],
+                         ids=["S3", "A4", "C6", "A5"])
+def test_encodings_set_by_their_makers_match_the_values(group):
+    """The double and the document reader set the S and T encoding from the
+    integral forms they hold; it is the one the Cyclotomic entries give,
+    value for value and dtype for dtype."""
+    from fusionrings import docs
+    from fusionrings.cyclo import _coordinates
+
+    md = double_modular_data(group)
+    text = docs.dumps(docs.document("modulardata", docs.modular_payload(md)))
+    loaded = docs.modular_from_payload(docs.loads(text)["payload"])
+    mt, lt, T = _coordinates([md.T])
+    want = (_coordinates(md.S), (mt, lt, T[0]))
+    for got in (md._encoding, loaded._encoding):
+        for (m, scale, A), (m0, scale0, A0) in zip(got, want):
+            assert (m, scale, A.dtype) == (m0, scale0, A0.dtype) and np.array_equal(A, A0)
+    assert loaded.S == md.S and loaded.T == md.T
