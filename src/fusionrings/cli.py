@@ -85,8 +85,12 @@ def _emit(doc):
     sys.stdout.write(docs.dumps(doc))
 
 
+def _emit_ring(ring, command):
+    sys.stdout.write(docs.dumps_ring(ring, command))
+
+
 def _load_kind(path, kind):
-    doc = docs.loads(_read(path))
+    doc = (docs.loads_ring if kind == "fusionring" else docs.loads)(_read(path))
     if doc["kind"] != kind:
         raise ValueError(f"expected a {kind} document, got {doc['kind']}")
     return doc["payload"]
@@ -115,7 +119,7 @@ def _cmd_chartab(args, command):
 def _cmd_repring(args, command):
     group = parse_group_spec(args.spec)
     ring = rep_g_fusion_ring(character_table(group))
-    _emit(docs.document("fusionring", docs.ring_payload(ring), command))
+    _emit_ring(ring, command)
     return 0
 
 
@@ -132,7 +136,7 @@ def _cmd_bicross(args, command):
     mp = docs.pair_from_payload(_load_kind(args.pairfile, "matchedpair"))
     if args.ring:
         ring = split_fusion_ring(mp)
-        _emit(docs.document("fusionring", docs.ring_payload(ring), command))
+        _emit_ring(ring, command)
         return 0
     payload = docs.pair_payload(mp)
     if args.dual_invertibles:
@@ -168,7 +172,7 @@ def _cmd_double(args, command):
 def _cmd_verlinde(args, command):
     md = docs.modular_from_payload(_load_kind(args.mdfile, "modulardata"))
     ring = verlinde_fusion(md)
-    _emit(docs.document("fusionring", docs.ring_payload(ring), command))
+    _emit_ring(ring, command)
     return 0
 
 

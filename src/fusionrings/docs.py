@@ -5,12 +5,20 @@ payloads serialize to identical bytes.  Rationals travel as "p/q" strings,
 permutations as 1-based cycle strings.  Provenance never takes part in
 document comparison.  Fusion rings are read through ``rings._certified``,
 the one certified constructor, which checks the dims a document claims.
+
+The tensor of a fusionring document, n**3 integers, travels as an int64
+array: ``dumps_ring`` writes its digits with numpy, byte for byte what
+``dumps`` writes, and ``loads_ring`` decodes a canonical tensor with numpy.
+Any other text, valid JSON or not, goes through ``loads``, so it is read as
+before or refused with the same error.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cache
+
+import numpy as np
 
 from . import cyclo, rings
 from .doubles import DoubleLabel, ModularData, _certify_modular
@@ -52,6 +60,12 @@ def loads(text):
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("a document nests deeper than the JSON parser allows") from None
+    return _checked(doc)
+
+
+def _checked(doc):
+    """The parsed document; ValueError unless it is an object of our schema
+    version and of one of our kinds."""
     if not isinstance(doc, dict):
         raise ValueError(f"a document is a JSON object, not {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -120,15 +134,108 @@ def chartab_payload(table):
 
 
 def ring_payload(ring):
+    return _ring_payload(ring, ring.N.ravel().tolist())
+
+
+def _ring_payload(ring, tensor):
     dims = rings.fp_dims(ring)
-    payload = {
-        "labels": list(ring.labels),
-        "dual": list(ring.dual),
-        "tensor": ring.N.ravel().tolist(),
-    }
+    payload = {"labels": list(ring.labels), "dual": list(ring.dual), "tensor": tensor}
     if dims.exact:
         payload["dims"] = list(dims.dims)
     return payload
+
+
+def dumps_ring(ring, command=None):
+    """``dumps(document("fusionring", ring_payload(ring), command))``, byte for
+    byte, with the tensor written by numpy: the rest of the document is
+    encoded with NaN in the tensor's place, and ``"tensor":NaN`` occurs in it
+    only there, as a quote inside an encoded string is escaped."""
+    if ring.N.min() < 0:  # no validated ring has a negative entry
+        return dumps(document("fusionring", ring_payload(ring), command))
+    text = dumps(document("fusionring", _ring_payload(ring, float("nan")), command))
+    head, tail = text.split('"tensor":NaN', 1)
+    return f'{head}"tensor":[{_digits(ring.N.ravel())}]{tail}'
+
+
+def _digits(values):
+    """Non-negative int64 values in decimal, comma-separated, as json writes
+    them.  Each value fills a row of right-aligned digits and a comma, one
+    numpy pass per digit column; bytes that hold no digit are dropped."""
+    width = len(str(int(values.max())))
+    cells = np.zeros((values.size, width + 1), dtype=np.uint8)
+    cells[:, width] = ord(",")
+    for col in range(width - 1, -1, -1):
+        rest = values // 10  # a floor division by 10 is cheaper than a remainder
+        cells[:, col] = ord("0") + values - 10 * rest
+        if col < width - 1:
+            cells[values == 0, col] = 0
+        values = rest
+    text = cells.ravel() if width == 1 else cells[cells > 0]
+    return text[:-1].tobytes().decode("ascii")
+
+
+_TENSOR = '"tensor":['
+
+
+def loads_ring(text):
+    """``loads(text)``, except that the tensor of a canonical fusionring
+    document arrives as an int64 array, decoded by numpy; any other text
+    goes to ``loads``, so every input gives the same document or the same
+    error."""
+    doc = _decoded_ring(text)
+    return loads(text) if doc is None else _checked(doc)
+
+
+def _decoded_ring(text):
+    """The JSON value of text with the payload's tensor as an int64 array, or
+    None unless the first ``"tensor":[...]`` holds canonical integers only
+    and, read as NaN, is the payload's tensor and the text's only NaN or
+    Infinity.  Then NaN stood where json reads a value, so the whole text is
+    JSON with that tensor in that place exactly when the rest is."""
+    start = text.find(_TENSOR) + len(_TENSOR)
+    end = text.find("]", start) if start >= len(_TENSOR) else -1
+    tensor = _canonical_integers(text[start:end]) if end > 0 else None
+    if tensor is None:
+        return None
+    sentinel, calls = object(), []
+
+    def constant(token):
+        calls.append(token)
+        return sentinel
+
+    try:
+        doc = json.loads(f"{text[:start - 1]}NaN{text[end + 1:]}", parse_constant=constant)
+    except (ValueError, RecursionError):
+        return None
+    payload = doc.get("payload") if isinstance(doc, dict) else None
+    if len(calls) != 1 or not isinstance(payload, dict) or payload.get("tensor") is not sentinel:
+        return None
+    payload["tensor"] = tensor
+    return doc
+
+
+def _canonical_integers(span):
+    """The int64 entries of span, or None unless it is a comma-separated list
+    of JSON integers without sign or leading zero, at most 18 digits each."""
+    if not span.isascii():
+        return None
+    raw = np.frombuffer(f",{span},".encode("ascii"), dtype=np.uint8)  # every entry between commas
+    code, comma = raw - ord("0"), raw == ord(",")
+    if not ((code < 10) | comma).all() or (comma[1:] & comma[:-1]).any():  # a stray byte, an empty entry
+        return None
+    if (comma[:-2] & (code[1:-1] == 0) & ~comma[2:]).any():  # a leading zero
+        return None
+    last = np.flatnonzero(comma[1:] & ~comma[:-1])  # each entry's units digit
+    values = code[last].astype(np.int64)
+    entry = np.flatnonzero(~comma[last - 1])  # the entries with a tens digit
+    pos = last[entry] - 1
+    for power in 10 ** np.arange(1, 18, dtype=np.int64):
+        if not entry.size:
+            return values
+        values[entry] += code[pos] * power
+        more = ~comma[pos - 1]
+        entry, pos = entry[more], pos[more] - 1
+    return None if entry.size else values
 
 
 def _check_ring_payload(payload):
@@ -136,16 +243,21 @@ def _check_ring_payload(payload):
     a fusionring document."""
     if not isinstance(payload, dict):
         raise ValueError("fusionring payload must be an object")
+    tensor = payload.get("tensor")
+    decoded = isinstance(tensor, np.ndarray)  # int64 entries, from loads_ring
     for key in ("labels", "dual", "tensor"):
-        if not isinstance(payload.get(key), list):
+        if not (isinstance(payload.get(key), list) or key == "tensor" and decoded):
             raise ValueError(f"fusionring payload needs {key!r} as a list")
-    labels, dual, tensor = payload["labels"], payload["dual"], payload["tensor"]
+    labels, dual = payload["labels"], payload["dual"]
     n = len(labels)
     if n == 0 or not all(isinstance(l, str) for l in labels):
         raise ValueError("fusionring labels must be a non-empty list of strings")
     if len(dual) != n or len(tensor) != n**3:
         raise ValueError(f"fusionring dual needs {n} entries and tensor {n**3}")
-    if not set(map(type, dual)) | set(map(type, tensor)) <= {int}:  # no bools, no floats
+    types = set(map(type, dual))
+    if not decoded:
+        types |= set(map(type, tensor))
+    if not types <= {int}:  # no bools, no floats
         raise ValueError("fusionring dual and tensor entries must be integers")
     dims = payload.get("dims")
     if dims is not None and not (isinstance(dims, list) and len(dims) == n and set(map(type, dims)) <= {int}):

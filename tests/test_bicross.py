@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from fusionrings import rings
+from fusionrings import docs, rings
 from fusionrings.bicross import (
     bowtie_group,
     dual_invertibles,
@@ -324,6 +324,10 @@ def test_j7_ring_builds_exactly():
     assert tensor_sha(ring) == "05c6b2899eac74ef"
     assert rings.type_signature(ring) == ((1, 42), (7, 102))
     assert rings.invertibles(ring).order == 42
+    # the 6 MB document: numpy writes json's bytes and reads the same tensor back
+    text = docs.dumps_ring(ring)
+    assert text == docs.dumps(docs.document("fusionring", docs.ring_payload(ring)))
+    assert tensor_sha(docs.ring_from_payload(docs.loads_ring(text)["payload"])) == "05c6b2899eac74ef"
 
 
 def benchmark_pairs():

@@ -112,6 +112,45 @@ def test_tracer_puts_the_whole_table_in_chartab_table():
     assert {name[s["parent"]] for s in spans if s["name"].startswith("cyclo.")} <= {"docs.chartab_payload"}
 
 
+
+# pair -> bicross x3 -> analyze -> equiv, plus repring, double, verlinde and
+# sequiv: (output file, argv), "@name" the path of an earlier output
+TRACED_CHAIN = [
+    ("pair.json", ["pair", "A5", "C5", "A4"]),
+    ("type.json", ["bicross", "@pair.json", "--type"]),
+    ("k5.json", ["bicross", "@pair.json", "--ring"]),
+    ("dual.json", ["bicross", "@pair.json", "--dual-invertibles"]),
+    ("verdict.json", ["analyze", "@k5.json"]),
+    ("witness.json", ["equiv", "@k5.json", "@k5.json"]),
+    ("s4.json", ["repring", "S4"]),
+    ("md.json", ["double", "S3"]),
+    ("verlinde.json", ["verlinde", "@md.json"]),
+    ("switness.json", ["sequiv", "@md.json", "@md.json"]),
+]
+
+
+def _run_chain(tmp_path):
+    outputs = {}
+    for name, argv in TRACED_CHAIN:
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0, argv
+        (tmp_path / name).write_text(out.getvalue())
+        outputs[name] = out.getvalue()
+    return outputs
+
+
+def test_traced_commands_emit_the_untraced_bytes(tmp_path):
+    untraced = _run_chain(tmp_path)
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        traced = _run_chain(tmp_path)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["cli.commands"] == len(TRACED_CHAIN)
+    assert traced == untraced
+
 # sha256 of each demo's stdout, recorded before the catalog stored its FPdims
 # and types; every demo prints the same bytes on every run
 DEMO_STDOUT = {
