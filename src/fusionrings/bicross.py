@@ -26,12 +26,7 @@ import numpy as np
 from . import rings, tables
 from .chartab import character_table
 from .cyclo import _embeddings, _evaluate, _lift, _phi, _product_bound, _top
-from .errors import (
-    GroupLawFailure,
-    NonIntegralMultiplicity,
-    NotAutomorphism,
-    NotExactFactorization,
-)
+from .errors import NonIntegralMultiplicity, NotAutomorphism, NotExactFactorization
 from .perms import GroupAction, PermGroup
 
 
@@ -46,8 +41,7 @@ class MatchedPair:
     The actions are stored on indices: ``rtab[s, x]`` is the F-index of
     s |> x and ``ltab[s, x]`` the Gamma-index of s <| x (s a Gamma-index, x
     an F-index); ``dual_ltab[x, s]`` and ``dual_rtab[x, s]`` give x <|' s in
-    F and x |>' s in Gamma.  ``right`` and ``left`` spell the actions out on
-    elements.
+    F and x |>' s in Gamma.
     """
 
     ambient: PermGroup
@@ -57,18 +51,6 @@ class MatchedPair:
     ltab: np.ndarray
     dual_ltab: np.ndarray
     dual_rtab: np.ndarray
-
-    def _spelled(self, tab, rows, cols, values):
-        r, c, v = rows.elements, cols.elements, values.elements
-        return {(r[i], c[j]): v[k] for (i, j), k in np.ndenumerate(tab)}
-
-    @property
-    def right(self):  # (s, x) -> s |> x   in F
-        return self._spelled(self.rtab, self.gamma, self.f, self.f)
-
-    @property
-    def left(self):  # (s, x) -> s <| x   in Gamma
-        return self._spelled(self.ltab, self.gamma, self.f, self.gamma)
 
     def dual(self):
         """The matched pair of the dual product k^F # kGamma."""
@@ -116,21 +98,6 @@ def matched_pair_from_factorization(group, f, gamma):
         dual_ltab=dual_ltab,
         dual_rtab=dual_rtab,
     )
-
-
-def bowtie_group(mp):
-    """The group on F x Gamma with (x,s)(y,t) = (x(s|>y), (s<|y)t), realized
-    inside the ambient group via (x,s) -> x*s; the law, x s y t =
-    x (s|>y)(s<|y) t for all x and t, holds exactly when s y = (s|>y)(s<|y),
-    which is verified at every (s, y)."""
-    g = mp.ambient
-    fi = g.index_rows(mp.f.images)
-    gi = g.index_rows(mp.gamma.images)
-    bad = g.mul(gi[:, None], fi[None, :]) != g.mul(fi[mp.rtab], gi[mp.ltab])
-    if bad.any():
-        s, y = np.argwhere(bad)[0].tolist()
-        raise GroupLawFailure(f"law fails at Gamma/F indices {(s, y)}")
-    return g
 
 
 def gamma_action(mp):

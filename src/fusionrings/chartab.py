@@ -27,7 +27,6 @@ import numpy as np
 
 from . import rings, tables
 from .cyclo import (
-    Cyclotomic,
     _distinct_coordinates,
     _echelon,
     _evaluate,
@@ -40,7 +39,7 @@ from .cyclo import (
     _top,
     _value,
 )
-from .errors import LengthMismatch, LiftFailure, TooManyClasses
+from .errors import LiftFailure, TooManyClasses
 
 # ---------------------------------------------------------------------------
 # the table
@@ -71,9 +70,6 @@ class CharacterTable:
     @property
     def num_classes(self):
         return len(self.classes)
-
-    def value(self, row, element):
-        return self.chars[row][self.class_of[self.group.index_of(element)]]
 
 
 def character_table(group):
@@ -140,7 +136,7 @@ def character_table(group):
 
     # canonical row order: (degree, sort keys of the values), trivial row first
     forms = list(slots)
-    keys = [(n, coords) for n, _, coords in forms]  # Cyclotomic.sort_key: den is 1
+    keys = [(n, coords) for n, _, coords in forms]  # the forms are integral: den is 1
     index = index.tolist()
     rows = sorted(range(r), key=lambda i: (degrees[i], [keys[k] for k in index[i]]))
     one = [form == (1, 1, ((0, 1),)) for form in forms]
@@ -343,18 +339,7 @@ def _certify(table):
 
 
 # ---------------------------------------------------------------------------
-# class functions and the representation ring
-
-
-def inner_product(table, a, b):
-    """(1/|G|) sum over classes of size * a_j * conj(b_j)."""
-    r = table.num_classes
-    if len(a) != r or len(b) != r:
-        raise LengthMismatch(f"expected {r} values")
-    acc = Cyclotomic.zero()
-    for j, (_, size) in enumerate(table.classes):
-        acc = acc + Cyclotomic._coerce(a[j]) * Cyclotomic._coerce(b[j]).conjugate() * size
-    return acc / table.group.order
+# the representation ring
 
 
 def rep_g_fusion_ring(table):

@@ -65,8 +65,14 @@ def parse_group_spec(spec, degree=None):
             raise ValueError("dihedral groups embed only at their own degree")
         return dihedral_group(n)
     if spec.startswith("custom:"):
-        _, deg, gens = spec.split(":", 2)
-        deg = int(deg)
+        parts = spec.split(":", 2)
+        if len(parts) != 3:
+            raise ValueError(f"group spec {spec!r} is not custom:<degree>:<cycles>|<cycles>|...")
+        _, deg, gens = parts
+        try:
+            deg = int(deg)
+        except ValueError:
+            raise ValueError(f"custom degree {parts[1]!r} is not an integer in {spec!r}") from None
         if degree is not None and degree != deg:
             raise ValueError(f"custom degree {deg} does not match ambient degree {degree}")
         perms = [Permutation.parse(s, deg) for s in gens.split("|") if s.strip()]

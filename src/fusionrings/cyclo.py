@@ -631,9 +631,6 @@ class Cyclotomic:
             self._hash = hash((self.conductor, tuple(sorted(self.coeffs.items()))))
         return self._hash
 
-    def sort_key(self):
-        return (self.conductor, tuple(sorted(self.coeffs.items())))
-
     def numeric(self):
         """Evaluate under zeta_N -> exp(2 pi i / N), deterministic term order."""
         n = self.conductor

@@ -365,7 +365,7 @@ def modular_from_payload(payload):
         degree = _degree_of_cycle_strings(rep for rep, _ in payload["labels"])
     reps = {rep: Permutation.parse(rep, degree) for rep in dict.fromkeys(rep for rep, _ in payload["labels"])}
     labels = tuple(
-        DoubleLabel(class_index=-1, class_rep=reps[rep], char_row=int(row), dim=int(d))
+        DoubleLabel(class_rep=reps[rep], char_row=int(row), dim=int(d))
         for (rep, row), d in zip(payload["labels"], payload["dims"])
     )
     forms, slots = [], {}  # each distinct form once, keyed by its JSON content, types included

@@ -66,7 +66,6 @@ MAX_LABELS = 1024
 
 @dataclass(frozen=True)
 class DoubleLabel:
-    class_index: int
     class_rep: object
     char_row: int
     dim: int
@@ -106,7 +105,7 @@ def double_modular_data(group):
             by_centralizer[c] = character_table(c)
     tabs = [by_centralizer[c] for c in cents]
     labels = [
-        DoubleLabel(class_index=ci, class_rep=rep, char_row=row, dim=len(members) * tabs[ci].degrees[row])
+        DoubleLabel(class_rep=rep, char_row=row, dim=len(members) * tabs[ci].degrees[row])
         for ci, (rep, members) in enumerate(classes)
         for row in range(tabs[ci].num_classes)
     ]
@@ -278,13 +277,6 @@ def is_tannakian_subset(md, subset):
     if all(md.T[x] == Cyclotomic.one() for x in closed):
         return TANNAKIAN
     return SUPER_TANNAKIAN_ONLY
-
-
-def projective_centralizer(md, subset):
-    """Labels centralizing every simple in the support of y (x) y* over the subset."""
-    closed = list(rings._generated(_fusion_tensor(md), md.charge_conjugation, subset))
-    duals = [md.charge_conjugation[y] for y in closed]
-    return _centralizing(md, np.flatnonzero((_fusion_tensor(md)[closed, duals] > 0).any(axis=0)))
 
 
 def central_charge(md):

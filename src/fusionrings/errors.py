@@ -29,10 +29,6 @@ class LiftFailure(WorkbenchError):
     """Character-table modular lift could not be certified."""
 
 
-class LengthMismatch(WorkbenchError):
-    """Class-function value lists do not match the table's classes."""
-
-
 class NonIntegralMultiplicity(WorkbenchError):
     """A fusion multiplicity failed the non-negative-integer check."""
 
@@ -66,10 +62,6 @@ class SearchBudgetExceeded(WorkbenchError):
 
 class NotExactFactorization(WorkbenchError):
     """The subgroups do not factor the ambient group exactly."""
-
-
-class GroupLawFailure(WorkbenchError):
-    """The bicrossed multiplication law failed verification (bug signal)."""
 
 
 class NotAutomorphism(WorkbenchError):

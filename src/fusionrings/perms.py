@@ -81,7 +81,7 @@ class Permutation:
             return cls.identity(degree)
         if _CYCLE.sub("", text).strip():
             raise ValueError(f"not cycle notation: {text!r}")
-        cycles = []
+        cycles, seen = [], set()
         for part in _CYCLE.findall(text):
             tokens = part.replace(",", " ").split()
             if not all(tok.isdigit() for tok in tokens):
@@ -91,6 +91,10 @@ class Permutation:
                 continue
             if any(p < 0 or p >= degree for p in pts):
                 raise ValueError(f"point out of range in {text!r} for degree {degree}")
+            for p in pts:
+                if p in seen:
+                    raise ValueError(f"point {p + 1} appears twice in {text!r}")
+                seen.add(p)
             cycles.append(tuple(pts))
         return cls.from_cycles(degree, cycles)
 
@@ -108,9 +112,6 @@ class Permutation:
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(inv)
-
-    def is_identity(self):
-        return all(i == j for i, j in enumerate(self.images))
 
     def order(self):
         return math.lcm(*(len(c) for c in self.cycles()))
@@ -263,14 +264,6 @@ class PermGroup:
         # each generator s is the image of the identity under x -> x*s
         return cls(degree, images, rmul[:, cls.unit].tolist(), rmul=rmul, keys=keys)
 
-    @classmethod
-    def from_elements(cls, degree, elements):
-        """Wrap an already-closed set of distinct elements (trusted)."""
-        rows = _rows(degree, elements)
-        keys = _row_keys(rows)
-        order = np.argsort(keys)
-        return cls(degree, rows[order], keys=keys[order])
-
     def _sub(self, members, gens=None):
         """The subgroup on the sorted indices ``members``, generated by the
         indices ``gens`` (default: a small generating set)."""
@@ -338,9 +331,6 @@ class PermGroup:
 
     def is_abelian(self):
         return tables.is_abelian(self)
-
-    def exponent(self):
-        return math.lcm(*tables.element_orders(self).tolist())
 
     def subgroup(self, gens):
         """The subgroup generated by ``gens``, which must lie in this group."""

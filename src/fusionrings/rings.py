@@ -65,9 +65,6 @@ class FusionRing:
     def size(self):
         return len(self.labels)
 
-    def product(self, i, j):
-        return self.N[i, j]
-
     def support(self, i, j):
         return tuple(int(k) for k in np.nonzero(self.N[i, j])[0])
 
@@ -129,20 +126,12 @@ class Invertibles:
 
 @dataclass(frozen=True)
 class GradingDecomposition:
-    blocks: tuple  # tuple of sorted index tuples
+    blocks: tuple  # tuple of sorted index tuples, the neutral block first
     group: tables.CayleyGroup  # on block positions
-    neutral_block: int
 
     @property
     def order(self):
         return len(self.blocks)
-
-    def block_of(self):
-        out = {}
-        for b, members in enumerate(self.blocks):
-            for i in members:
-                out[i] = b
-        return out
 
 
 def validate(ring):
@@ -371,12 +360,6 @@ def _invertibles(ring):
     return Invertibles(indices=idx, group=group, name=tables.iso_name(group))
 
 
-def invertible_stabilizer(ring, x):
-    """Invertible g with g*x = x, as root-ring indices."""
-    inv = invertibles(ring)
-    return tuple(g for g in inv.indices if ring.N[g, x, x] == 1)
-
-
 def subring_generated(ring, seed):
     """Least based subring containing the seed indices."""
     return _generated(ring.N, ring.dual, seed)
@@ -440,18 +423,18 @@ def _universal_grading(ring):
         if (new == label).all():
             break
         label = new[new]
-    firsts, block_of = np.unique(label, return_inverse=True)  # blocks by least element
-    blocks = [tuple(np.flatnonzero(block_of == b).tolist()) for b in range(len(firsts))]
+    firsts, block = np.unique(label, return_inverse=True)  # blocks by least element
+    blocks = [tuple(np.flatnonzero(block == b).tolist()) for b in range(len(firsts))]
     if blocks[0] != tuple(ad):
         raise GradingInconsistent("neutral block differs from adjoint subring")
     dt = _exact_dtype(n)  # the contraction counts at most n support elements
-    indicator = (block_of[:, None] == np.arange(len(blocks))).astype(dt)
+    indicator = (block[:, None] == np.arange(len(blocks))).astype(dt)
     lands = nonzero.astype(dt) @ indicator > 0  # [i, j, b]: i*j meets block b
     count = lands.sum(axis=2)
     target = lands.argmax(axis=2)
     # a block pair's product is read at its first basis pair in row-major order
     table = target[np.ix_(firsts, firsts)]
-    clash = target != table[np.ix_(block_of, block_of)]
+    clash = target != table[np.ix_(block, block)]
     bad = (count != 1) | clash
     if bad.any():
         i, j = np.argwhere(bad)[0].tolist()
@@ -460,12 +443,12 @@ def _universal_grading(ring):
         if count[i, j] > 1:
             spread = np.flatnonzero(lands[i, j]).tolist()
             raise GradingInconsistent(f"product ({i},{j}) spreads over blocks {spread}")
-        raise GradingInconsistent(f"inconsistent block product at ({block_of[i]},{block_of[j]})")
+        raise GradingInconsistent(f"inconsistent block product at ({block[i]},{block[j]})")
     group = tables.CayleyGroup(table)  # the neutral block is its identity
     k = np.arange(len(blocks))
     if (table[table] != table[k[:, None, None], table[None]]).any():  # (ab)c against a(bc)
         raise GradingInconsistent("block product not associative")
-    return GradingDecomposition(blocks=tuple(blocks), group=group, neutral_block=0)
+    return GradingDecomposition(blocks=tuple(blocks), group=group)
 
 
 def is_nilpotent(ring):

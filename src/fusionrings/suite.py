@@ -376,18 +376,18 @@ _CRITERIA = [
 
 def run_criterion(number):
     num, desc, fn, budget = next(c for c in _CRITERIA if c[0] == number)
-    start = time.time()
+    start = time.perf_counter()
     try:
         detail = fn()
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         passed = elapsed <= budget
         if not passed:
             detail = f"exceeded {budget:.0f}s budget ({elapsed:.1f}s)"
     except AssertionError as exc:
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         passed, detail = False, f"assertion failed: {exc}"
     except Exception as exc:  # deliberate: the suite reports, never crashes
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         passed, detail = False, f"{type(exc).__name__}: {exc}"
     return CriterionResult(num, desc, passed, detail, elapsed)
 

@@ -70,7 +70,7 @@ def test_modular_document_roundtrip():
     payload = docs.modular_payload(md)
     back = docs.modular_from_payload(payload)
     assert back.S == md.S and back.T == md.T and back.dims == md.dims
-    assert back.charge_conjugation == md.charge_conjugation
+    assert back.charge_conjugation == md.charge_conjugation and back.labels == md.labels
 
 
 def test_cli_determinism():
@@ -508,6 +508,20 @@ def test_cli_degree_above_the_bound_is_refused(capsys, spec):
 def test_cli_negative_degree_is_a_usage_error(capsys, spec):
     assert run_cli(["group", spec]) == (2, "")
     assert capsys.readouterr().err == "error: usage: negative degree -1\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("custom:3", "group spec 'custom:3' is not custom:<degree>:<cycles>|<cycles>|..."),
+        ("custom:x:(1 2)", "custom degree 'x' is not an integer in 'custom:x:(1 2)'"),
+        ("custom:4:(1 2)(1 3)", "point 1 appears twice in '(1 2)(1 3)'"),
+        ("custom:4:(2 4 2)", "point 2 appears twice in '(2 4 2)'"),
+    ],
+)
+def test_cli_group_spec_errors_name_the_input(capsys, spec, message):
+    assert run_cli(["group", spec]) == (2, "")
+    assert capsys.readouterr().err == f"error: usage: {message}\n"
 
 
 def test_cli_documents_with_a_degree_above_the_bound_are_refused(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Drinfeld-double modular data: S/T matrices, Verlinde ring, centralizers,
 Tannakian detection, central charge, S-equivalence."""
 
+import dataclasses
 import itertools
 import random
 
@@ -20,11 +21,10 @@ from fusionrings.doubles import (
     is_tannakian_subset,
     mueger_center,
     pointed_labels,
-    projective_centralizer,
     s_equivalence,
     verlinde_fusion,
 )
-from fusionrings.errors import SearchBudgetExceeded
+from fusionrings.errors import SearchBudgetExceeded, SingularS
 from fusionrings.perms import alternating_group, cyclic_group, symmetric_group
 
 
@@ -76,7 +76,7 @@ def test_pointed_part_of_symmetric_doubles():
         assert len(pts) == 2
         # both labels sit at the identity class with a linear character
         for x in pts:
-            assert md.labels[x].class_rep.is_identity()
+            assert md.labels[x].class_rep == md.group.identity
 
 
 def test_pointed_part_of_a5_double_trivial():
@@ -127,17 +127,6 @@ def test_pointed_part_of_double_s4_centralizes_itself():
     pts = pointed_labels(md)
     cent = centralizer_subset(md, pts)
     assert set(pts) <= set(cent)
-
-
-def test_projective_centralizer_properties():
-    md = double_modular_data(symmetric_group(3))
-    assert projective_centralizer(md, (0,)) == tuple(range(md.size))
-    pts = pointed_labels(md)
-    proj = projective_centralizer(md, pts)
-    cent = centralizer_subset(md, pts)
-    assert set(cent) <= set(proj)
-    full_proj = projective_centralizer(md, tuple(range(md.size)))
-    assert set(mueger_center(md)) <= set(full_proj)
 
 
 def test_central_charge_one():
@@ -191,12 +180,20 @@ def test_abelian_double_closed_form():
     g = cyclic_group(4)
     md = double_modular_data(g)
     t = character_table(g)
+
+    def value(row, element):
+        return t.chars[row][t.class_of[g.index_of(element)]]
+
     for xi, lx in enumerate(md.labels):
         for yi, ly in enumerate(md.labels):
-            want = (
-                t.value(lx.char_row, ly.class_rep) * t.value(ly.char_row, lx.class_rep)
-            ).conjugate()
+            want = (value(lx.char_row, ly.class_rep) * value(ly.char_row, lx.class_rep)).conjugate()
             assert md.S[xi][yi] == want
+
+
+def test_verlinde_refuses_modular_data_without_charge_conjugation():
+    md = double_modular_data(symmetric_group(3))
+    with pytest.raises(SingularS, match="no charge conjugation"):
+        verlinde_fusion(dataclasses.replace(md, charge_conjugation=()))
 
 
 def test_double_z4_fusion_is_z4_squared():
@@ -212,7 +209,7 @@ def test_identity_class_block_is_tannakian():
     # the labels over the identity class form the canonical symmetric copy of Rep G
     for grp in [symmetric_group(3), symmetric_group(4), alternating_group(4)]:
         md = double_modular_data(grp)
-        ident = tuple(i for i, l in enumerate(md.labels) if l.class_rep.is_identity())
+        ident = tuple(i for i, l in enumerate(md.labels) if l.class_rep == grp.identity)
         assert len(ident) == len(grp.conjugacy_classes())
         assert is_tannakian_subset(md, ident) == TANNAKIAN
 
@@ -463,8 +460,7 @@ def test_modular_layer_does_no_cyclotomic_arithmetic(group, monkeypatch):
     assert s_equivalence(md, other)[0] == 0
     assert centralizer_subset(md, (0,)) == tuple(range(md.size))
     assert centralizer_subset(md, range(md.size)) == (0,)  # the Mueger centre of a double
-    assert projective_centralizer(md, (0,)) == tuple(range(md.size))
-    assert is_tannakian_subset(md, tuple(x for x, l in enumerate(md.labels) if l.class_rep.is_identity())) == TANNAKIAN
+    assert is_tannakian_subset(md, tuple(x for x, l in enumerate(md.labels) if l.class_rep == group.identity)) == TANNAKIAN
     with pytest.raises(AssertionError, match="Cyclotomic arithmetic"):
         md.S[1][1] * md.S[1][1]
 

@@ -184,7 +184,7 @@ def test_closure_cap_boundary(monkeypatch):
 def test_elements_are_sorted_lexicographically():
     g = symmetric_group(4)
     assert list(g.elements) == sorted(g.elements, key=lambda p: p.images)
-    assert g.elements[0].is_identity()
+    assert g.elements[0] == g.identity
 
 
 def test_named_families():

@@ -70,17 +70,6 @@ def test_invertibles_rep_s5_is_z2():
     assert inv.order == 2 and inv.name == "C2"
 
 
-def test_invertible_stabilizer_unit_is_trivial():
-    ring = rep_ring(symmetric_group(3))
-    assert rings.invertible_stabilizer(ring, 0) == (0,)
-
-
-def test_invertible_stabilizer_of_v_in_rep_s3():
-    ring = rep_ring(symmetric_group(3))
-    v = rings.fp_dims(ring).dims.index(2)
-    assert len(rings.invertible_stabilizer(ring, v)) == 2
-
-
 def test_subring_generated_empty_seed():
     ring = rep_ring(symmetric_group(3))
     assert rings.subring_generated(ring, []) == (0,)
